@@ -48,7 +48,7 @@ def timed_crawl(faults: FaultSchedule | None):
     return dataset, time.perf_counter() - start
 
 
-def test_quiet_schedule_overhead(benchmark):
+def test_quiet_schedule_overhead(benchmark, bench_extra):
     unarmed_walls: list[float] = []
     armed_walls: list[float] = []
     reference = armed = None
@@ -69,6 +69,14 @@ def test_quiet_schedule_overhead(benchmark):
         f"(unarmed {min(unarmed_walls):.3f}s, armed-quiet {min(armed_walls):.3f}s)"
     )
     assert overhead < 0.02
+    bench_extra(
+        quiet_overhead={
+            "unarmed_seconds": min(unarmed_walls),
+            "armed_quiet_seconds": min(armed_walls),
+            "overhead_fraction": overhead,
+            "budget_fraction": 0.02,
+        }
+    )
 
     # One representative timed pass for the harness's run report.
     benchmark.pedantic(

@@ -33,6 +33,10 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 #: Per-module bench timings collected as run-report phase records.
 _BENCH_PHASES: dict[str, list[dict]] = {}
 
+#: Per-module world config stamped into each report: the module's own
+#: ``USERS``/``SEED`` where it defines them, else the shared bench world.
+_BENCH_CONFIG: dict[str, dict] = {}
+
 #: Free-form per-module payloads merged into each report's ``extra``
 #: (e.g. the fig5 bench records its sequential-vs-parallel speedup).
 _BENCH_EXTRA: dict[str, dict] = {}
@@ -46,6 +50,10 @@ def pytest_runtest_call(item):
     elapsed = time.perf_counter() - start
     module = Path(str(item.fspath)).stem
     if module.startswith("bench_"):
+        _BENCH_CONFIG[module] = {
+            "users": getattr(item.module, "USERS", BENCH_USERS),
+            "seed": getattr(item.module, "SEED", BENCH_SEED),
+        }
         _BENCH_PHASES.setdefault(module, []).append(
             {
                 "name": item.name,
@@ -65,7 +73,7 @@ def pytest_sessionfinish(session, exitstatus):
     for module, phases in sorted(_BENCH_PHASES.items()):
         report = RunReport(
             kind="bench",
-            config={"module": module, "users": BENCH_USERS, "seed": BENCH_SEED},
+            config={"module": module, **_BENCH_CONFIG[module]},
             phases=phases,
             metrics=get_registry().snapshot(),
             extra=_BENCH_EXTRA.get(module, {}),

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.faults.schedule import rng_from_json, rng_to_json
 from repro.obs.metrics import Registry, get_registry
 from repro.platform.http import (
     HttpFrontend,
@@ -205,31 +206,11 @@ class Fetcher:
     def export_resilience_state(self) -> dict:
         """Jitter-RNG and breaker state (stats are exported by the pool)."""
         state: dict = {
-            "jitter_rng": _rng_state_to_json(self._jitter_rng),
+            "jitter_rng": rng_to_json(self._jitter_rng),
             "breaker": self.breaker.export_state(),
         }
         return state
 
     def restore_resilience_state(self, state: dict) -> None:
-        _rng_state_from_json(self._jitter_rng, state["jitter_rng"])
+        rng_from_json(self._jitter_rng, state["jitter_rng"])
         self.breaker.restore_state(state["breaker"])
-
-
-def _rng_state_to_json(rng: np.random.Generator) -> dict:
-    """A Generator's bit-generator state as a JSON-clean dict."""
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def _rng_state_from_json(rng: np.random.Generator, state: dict) -> None:
-    rng.bit_generator.state = {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }

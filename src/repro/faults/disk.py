@@ -36,29 +36,28 @@ Rule kinds
 
 Determinism
 -----------
-Same contract as the network layer: per-rule ``numpy`` generators
-seeded via ``SeedSequence([scenario_seed, rule_index])``; every rule
-whose window is open and whose op matches draws a **fixed** number of
+The rules and the schedule subclass the network plane's rule core
+(:class:`~repro.faults.schedule.WindowedRule`,
+:class:`~repro.faults.schedule.WindowedSchedule`), so seeding
+(``SeedSequence([scenario_seed, rule_index])``), the scenario parser
+and the checkpointed state format are the same code.  Every rule whose
+window is open and whose op matches draws a **fixed** number of
 variates whether or not it fires, so the draw sequence depends only on
-the store's op timeline.  ``export_state``/``restore_state`` round-trip
-every bit-generator state and ride in crawl checkpoints under the
-``disk_faults`` extension key, so repeated crash/resume cycles replay
-the same chaos decisions deterministically.
+the store's op timeline.  The schedule state rides in crawl checkpoints
+under the ``disk_faults`` extension key, so repeated crash/resume
+cycles replay the same chaos decisions deterministically.
 """
 
 from __future__ import annotations
 
-import copy
 import errno
 import os
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import IO, Sequence
 
 from repro.store.atomio import StoreIO
 
-from .schedule import FaultSpecError
+from .schedule import FaultSpecError, WindowedRule, WindowedSchedule, _rate_in_unit
 
 __all__ = [
     "BitRot",
@@ -113,23 +112,12 @@ class _Decision:
         self.duplicate = duplicate
 
 
-class DiskFaultRule:
-    """Base class: virtual-time window + seeded RNG + op filter."""
+class DiskFaultRule(WindowedRule):
+    """A disk-plane rule: the rule core plus an op and target filter."""
 
-    kind = "abstract"
     #: Store ops this rule is consulted on ("write", "fsync", "replace",
     #: "published", "flushed").
     ops: frozenset[str] = frozenset()
-
-    def __init__(self, start: float = 0.0, end: float = float("inf"), seed: int = 0):
-        if end < start:
-            raise FaultSpecError(f"{self.kind}: window end {end} before start {start}")
-        self.start = float(start)
-        self.end = float(end)
-        self._rng = np.random.default_rng(seed)
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
 
     def matches_target(self, target: str) -> bool:
         return True
@@ -137,24 +125,6 @@ class DiskFaultRule:
     def decide(self, op: str, now: float, target: str) -> _Decision | None:
         """Consult the rule for one op; draws a fixed variate count."""
         raise NotImplementedError
-
-    def _chance(self, rate: float) -> bool:
-        return bool(self._rng.random() < rate)
-
-    # -- checkpointing (see repro.store) -------------------------------------
-
-    def export_state(self) -> dict:
-        return {"rng": copy.deepcopy(self._rng.bit_generator.state)}
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        if "rng" in state:
-            self._rng.bit_generator.state = copy.deepcopy(dict(state["rng"]))
-
-
-def _rate_in_unit(rate: float, what: str) -> float:
-    if not 0.0 <= rate <= 1.0:
-        raise FaultSpecError(f"{what} must be in [0, 1], got {rate}")
-    return float(rate)
 
 
 def _targets(targets: Sequence[str] | None, default: tuple[str, ...], kind: str):
@@ -318,34 +288,15 @@ class DuplicateSegment(DiskFaultRule):
         return _Decision(self.kind, duplicate=True)
 
 
-#: Registry of rule kinds for scenario documents.
-_RULE_KINDS: dict[str, type[DiskFaultRule]] = {
-    cls.kind: cls
-    for cls in (TornWrite, Enospc, Eio, DroppedFsync, BitRot, MissingFile, DuplicateSegment)
-}
-
-#: Constructor parameters scenario documents may set, per kind.
-_RULE_PARAMS: dict[str, tuple[str, ...]] = {
-    "torn_write": ("start", "end", "rate"),
-    "enospc": ("start", "end", "rate"),
-    "eio": ("start", "end", "rate"),
-    "dropped_fsync": ("start", "end", "rate"),
-    "bit_rot": ("start", "end", "rate", "targets", "zone"),
-    "missing_file": ("start", "end", "rate", "targets"),
-    "duplicate_segment": ("start", "end", "rate"),
-}
-
-
-class DiskFaultSchedule:
+class DiskFaultSchedule(WindowedSchedule):
     """An ordered, resumable set of disk-fault rules."""
 
-    def __init__(self, rules: Iterable[DiskFaultRule] = ()):
-        self.rules = list(rules)
-        self._window_start = min((r.start for r in self.rules), default=float("inf"))
-        self._window_end = max((r.end for r in self.rules), default=float("-inf"))
-
-    def __len__(self) -> int:
-        return len(self.rules)
+    rule_kinds = {
+        cls.kind: cls
+        for cls in (TornWrite, Enospc, Eio, DroppedFsync, BitRot, MissingFile, DuplicateSegment)
+    }
+    spec_label = "disk scenario"
+    kind_label = "disk fault kind"
 
     def decide(self, op: str, now: float, target: str = "file") -> list[_Decision]:
         """All firing decisions for one store op at virtual ``now``.
@@ -366,68 +317,6 @@ class DiskFaultSchedule:
             if decision is not None:
                 decisions.append(decision)
         return decisions
-
-    # -- checkpointing (see repro.store) -------------------------------------
-
-    def export_state(self) -> dict:
-        return {"rules": [rule.export_state() for rule in self.rules]}
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        states = state.get("rules", [])
-        if len(states) != len(self.rules):
-            raise FaultSpecError(
-                f"state covers {len(states)} rules, schedule has {len(self.rules)}"
-            )
-        for rule, rule_state in zip(self.rules, states):
-            rule.restore_state(rule_state)
-
-    # -- scenario documents --------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "DiskFaultSchedule":
-        """Build a schedule from a scenario document.
-
-        Same shape as the network layer's::
-
-            {"seed": 31, "rules": [
-                {"kind": "torn_write", "start": 0.5, "end": 2.0, "rate": 0.05},
-                {"kind": "bit_rot", "start": 1.0, "rate": 0.2,
-                 "targets": ["segment", "checkpoint"]},
-                ...
-            ]}
-        """
-        if not isinstance(spec, Mapping):
-            raise FaultSpecError(f"disk scenario must be a mapping, got {type(spec).__name__}")
-        base_seed = int(spec.get("seed", 0))
-        rules_spec = spec.get("rules")
-        if not isinstance(rules_spec, (list, tuple)):
-            raise FaultSpecError("disk scenario needs a 'rules' list")
-        rules: list[DiskFaultRule] = []
-        for index, entry in enumerate(rules_spec):
-            if not isinstance(entry, Mapping):
-                raise FaultSpecError(f"rules[{index}] must be a mapping")
-            kind = entry.get("kind")
-            rule_cls = _RULE_KINDS.get(kind)
-            if rule_cls is None:
-                raise FaultSpecError(
-                    f"rules[{index}]: unknown disk fault kind {kind!r} "
-                    f"(known: {sorted(_RULE_KINDS)})"
-                )
-            allowed = _RULE_PARAMS[kind]
-            unknown = set(entry) - set(allowed) - {"kind"}
-            if unknown:
-                raise FaultSpecError(
-                    f"rules[{index}] ({kind}): unknown parameters {sorted(unknown)}"
-                )
-            kwargs = {key: entry[key] for key in allowed if key in entry}
-            kwargs["seed"] = int(
-                np.random.SeedSequence([base_seed, index]).generate_state(1)[0]
-            )
-            try:
-                rules.append(rule_cls(**kwargs))
-            except TypeError as exc:
-                raise FaultSpecError(f"rules[{index}] ({kind}): {exc}") from exc
-        return cls(rules)
 
 
 def _flip_bit(path: Path, offset: int, bit: int) -> None:

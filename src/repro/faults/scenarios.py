@@ -219,6 +219,18 @@ def disk_scenario_names() -> list[str]:
     return sorted(DISK_SCENARIOS)
 
 
+def _lookup(table: Mapping[str, dict[str, Any]], name: str, schedule_cls) -> dict[str, Any]:
+    """``table[name]``, validated buildable by ``schedule_cls``."""
+    try:
+        spec = table[name]
+    except KeyError:
+        raise FaultSpecError(
+            f"unknown {schedule_cls.spec_label} {name!r} (known: {', '.join(sorted(table))})"
+        ) from None
+    schedule_cls.from_dict(spec)  # validate eagerly: bad data fails loudly
+    return spec
+
+
 def get_disk_scenario(name: str) -> dict[str, Any]:
     """The named disk scenario document (validated buildable)."""
     # Imported here, not at module top: ``.disk`` pulls in the store's
@@ -226,26 +238,12 @@ def get_disk_scenario(name: str) -> dict[str, Any]:
     # this package.  Deferring breaks the cycle.
     from .disk import DiskFaultSchedule
 
-    try:
-        spec = DISK_SCENARIOS[name]
-    except KeyError:
-        raise FaultSpecError(
-            f"unknown disk scenario {name!r} (known: {', '.join(disk_scenario_names())})"
-        ) from None
-    DiskFaultSchedule.from_dict(spec)
-    return spec
+    return _lookup(DISK_SCENARIOS, name, DiskFaultSchedule)
 
 
 def get_scenario(name: str) -> dict[str, Any]:
     """The named scenario document (validated buildable); KeyError-safe."""
-    try:
-        spec = SCENARIOS[name]
-    except KeyError:
-        raise FaultSpecError(
-            f"unknown scenario {name!r} (known: {', '.join(scenario_names())})"
-        ) from None
-    FaultSchedule.from_dict(spec)  # validate eagerly: bad data fails loudly
-    return spec
+    return _lookup(SCENARIOS, name, FaultSchedule)
 
 
 def load_scenario_file(path: str | Path) -> dict[str, Any]:

@@ -1,34 +1,47 @@
-"""Scripted, deterministic fault injection for the simulated transport.
+"""Scripted, deterministic fault injection: the shared rule core and the
+network plane.
 
 The authors' 46-day crawl ran against a live service that threw rate
 bans, outages, and half-rendered pages at the fleet; our simulator must
-be able to do the same, on demand and reproducibly.  A
-:class:`FaultSchedule` is a list of :class:`FaultRule` objects evaluated
-on every request the HTTP front end admits: each rule owns a virtual-time
-window, an (optional) seeded RNG, and a decision — block the request
-with an error status, slow it down, or corrupt its payload.
+be able to do the same, on demand and reproducibly.  Two chaos planes
+share one core defined here:
+
+* :class:`WindowedRule` — a virtual-time window, an optional seeded
+  RNG, and the checkpointable RNG state;
+* :class:`WindowedSchedule` — an ordered rule list, the window
+  envelope behind the quiet-air fast path, per-rule state
+  export/restore, and the scenario-document parser.
+
+The network plane (this module) subclasses them as :class:`FaultRule` /
+:class:`FaultSchedule`, evaluated on every request the HTTP front end
+admits: block it with an error status, slow it down, or corrupt its
+payload.  The disk plane (:mod:`repro.faults.disk`) subclasses them as
+``DiskFaultRule`` / ``DiskFaultSchedule``.  Each plane keeps only its
+rule classes and its combine step.
 
 Determinism is the design constraint that shapes everything here:
 
-* Every rule is evaluated on **every** request while its window is
-  active, whether or not an earlier rule already decided the request's
+* Every rule is evaluated on **every** event while its window is
+  active, whether or not an earlier rule already decided the event's
   fate.  The RNG draw sequence therefore depends only on the virtual
-  request timeline, never on rule interactions.
+  event timeline, never on rule interactions.
 * All randomness comes from per-rule ``numpy`` generators seeded via
-  ``SeedSequence``, and :meth:`FaultSchedule.export_state` /
-  :meth:`FaultSchedule.restore_state` round-trip their bit-generator
-  states, so a crawl killed and resumed mid-chaos replays the exact
-  fault sequence an uninterrupted run would have seen (the
+  ``SeedSequence([document_seed, rule_index])``, and
+  :meth:`WindowedSchedule.export_state` /
+  :meth:`WindowedSchedule.restore_state` round-trip their
+  bit-generator states, so a crawl killed and resumed mid-chaos replays
+  the exact fault sequence an uninterrupted run would have seen (the
   :mod:`repro.store` bit-identical guarantee).
 
-This module deliberately imports nothing from :mod:`repro.platform` —
-the platform's HTTP front end imports *it* — so the status codes the
-rules inject are defined here and re-exported by ``platform.http``.
+This module deliberately imports nothing from :mod:`repro` — the
+platform's HTTP front end imports *it* — so the status codes the rules
+inject are defined here and re-exported by ``platform.http``.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 from types import SimpleNamespace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -50,7 +63,11 @@ __all__ = [
     "STATUS_REQUEST_TIMEOUT",
     "STATUS_SERVER_ERROR",
     "Timeouts",
+    "WindowedRule",
+    "WindowedSchedule",
     "corrupt_payload",
+    "rng_from_json",
+    "rng_to_json",
 ]
 
 #: Status codes the fault layer injects.  503 mirrors the platform's
@@ -91,8 +108,23 @@ class FaultDecision:
         self.corrupt_mode = corrupt_mode
 
 
-class FaultRule:
-    """Base class: a virtual-time window plus an optional seeded RNG."""
+def rng_to_json(rng: np.random.Generator) -> dict:
+    """A generator's bit-generator state as a JSON-ready dict (a copy)."""
+    return copy.deepcopy(rng.bit_generator.state)
+
+
+def rng_from_json(rng: np.random.Generator, state: Mapping[str, Any]) -> None:
+    """Rewind ``rng`` to a state captured by :func:`rng_to_json`."""
+    rng.bit_generator.state = copy.deepcopy(dict(state))
+
+
+class WindowedRule:
+    """Rule core: a virtual-time window plus an optional seeded RNG.
+
+    A subclass takes ``seed`` in its constructor exactly when it owns an
+    RNG; :meth:`WindowedSchedule.from_dict` reads that (and the other
+    parameters a scenario document may set) off the signature.
+    """
 
     #: Scenario-document discriminator; subclasses override.
     kind = "abstract"
@@ -107,13 +139,6 @@ class FaultRule:
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
 
-    def remaining(self, now: float) -> float:
-        """Virtual time until the window closes (0 outside the window)."""
-        return max(0.0, self.end - now) if self.end != float("inf") else 0.0
-
-    def decide(self, now: float, ip: str) -> FaultDecision | None:
-        raise NotImplementedError
-
     def _chance(self, rate: float) -> bool:
         """One seeded Bernoulli draw (the rule's only randomness source)."""
         if self._rng is None:
@@ -125,17 +150,120 @@ class FaultRule:
     def export_state(self) -> dict:
         if self._rng is None:
             return {}
-        return {"rng": copy.deepcopy(self._rng.bit_generator.state)}
+        return {"rng": rng_to_json(self._rng)}
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         if self._rng is not None and "rng" in state:
-            self._rng.bit_generator.state = copy.deepcopy(dict(state["rng"]))
+            rng_from_json(self._rng, state["rng"])
 
 
 def _rate_in_unit(rate: float, what: str) -> float:
     if not 0.0 <= rate <= 1.0:
         raise FaultSpecError(f"{what} must be in [0, 1], got {rate}")
     return float(rate)
+
+
+class WindowedSchedule:
+    """Schedule core: an ordered, resumable list of windowed rules.
+
+    Subclasses set :attr:`rule_kinds` (the scenario-document registry)
+    and add their plane's combine step, which skips the rule loop when
+    ``now`` lies outside ``[_window_start, _window_end)``: no rule can be
+    active there, and inactive rules never draw.
+    """
+
+    #: ``kind`` -> rule class, for scenario documents.
+    rule_kinds: dict[str, type[WindowedRule]] = {}
+    #: How error messages name a document and a rule kind of this plane.
+    spec_label = "scenario"
+    kind_label = "kind"
+
+    def __init__(self, rules: Iterable[WindowedRule] = ()):
+        self.rules = list(rules)
+        # Envelope of all rule windows; the rule list is fixed after
+        # construction.
+        self._window_start = min((rule.start for rule in self.rules), default=float("inf"))
+        self._window_end = max((rule.end for rule in self.rules), default=float("-inf"))
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    # -- checkpointing (see repro.store) -------------------------------------
+
+    def export_state(self) -> dict:
+        """Per-rule RNG states, JSON-ready, positionally keyed."""
+        return {"rules": [rule.export_state() for rule in self.rules]}
+
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        states = state.get("rules", [])
+        if len(states) != len(self.rules):
+            raise FaultSpecError(
+                f"state covers {len(states)} rules, schedule has {len(self.rules)}"
+            )
+        for rule, rule_state in zip(self.rules, states):
+            rule.restore_state(rule_state)
+
+    # -- scenario documents --------------------------------------------------
+
+    @classmethod
+    def from_dict(cls, spec: Mapping[str, Any]):
+        """Build a schedule from a scenario document.
+
+        Document shape (JSON-compatible)::
+
+            {"seed": 7, "rules": [
+                {"kind": "error_burst", "start": 0.5, "end": 2.0, "rate": 0.4},
+                {"kind": "ip_ban", "start": 1.0, "end": 1.8, "ips": ["10.0.0.3"]},
+                ...
+            ]}
+
+        A rule entry may set any constructor parameter of its kind except
+        ``seed``.  Seeded rules draw from generators derived via
+        ``SeedSequence`` from the document seed and the rule's position,
+        so the same document always produces the same chaos.
+        """
+        if not isinstance(spec, Mapping):
+            raise FaultSpecError(
+                f"{cls.spec_label} must be a mapping, got {type(spec).__name__}"
+            )
+        base_seed = int(spec.get("seed", 0))
+        rules_spec = spec.get("rules")
+        if not isinstance(rules_spec, (list, tuple)):
+            raise FaultSpecError(f"{cls.spec_label} needs a 'rules' list")
+        rules = []
+        for index, entry in enumerate(rules_spec):
+            if not isinstance(entry, Mapping):
+                raise FaultSpecError(f"rules[{index}] must be a mapping")
+            kind = entry.get("kind")
+            rule_cls = cls.rule_kinds.get(kind)
+            if rule_cls is None:
+                raise FaultSpecError(
+                    f"rules[{index}]: unknown {cls.kind_label} {kind!r} "
+                    f"(known: {sorted(cls.rule_kinds)})"
+                )
+            params = inspect.signature(rule_cls).parameters
+            unknown = set(entry) - (set(params) - {"seed"}) - {"kind"}
+            if unknown:
+                raise FaultSpecError(
+                    f"rules[{index}] ({kind}): unknown parameters {sorted(unknown)}"
+                )
+            kwargs = {key: value for key, value in entry.items() if key != "kind"}
+            if "seed" in params:
+                kwargs["seed"] = int(
+                    np.random.SeedSequence([base_seed, index]).generate_state(1)[0]
+                )
+            try:
+                rules.append(rule_cls(**kwargs))
+            except TypeError as exc:
+                raise FaultSpecError(f"rules[{index}] ({kind}): {exc}") from exc
+        return cls(rules)
+
+
+class FaultRule(WindowedRule):
+    """A network-plane rule: decides the fate of one admitted request."""
+
+    def decide(self, now: float, ip: str) -> FaultDecision | None:
+        raise NotImplementedError
 
 
 class ErrorBurst(FaultRule):
@@ -168,8 +296,8 @@ class ErrorBurst(FaultRule):
 class BernoulliErrors(ErrorBurst):
     """Always-on uniform 503s — the legacy ``error_rate`` knob.
 
-    Draw-for-draw compatible with the old single ``FlakinessModel`` hook:
-    one uniform per request, ``default_rng(seed)``.
+    The front end's ``error_rate`` knob builds one of these: one uniform
+    draw per request from ``default_rng(seed)``.
     """
 
     kind = "bernoulli_errors"
@@ -190,7 +318,7 @@ class IpBan(FaultRule):
         ips: Sequence[str] | None = None,
         retry_after: float = 5.0,
     ):
-        super().__init__(start, end, seed=None)
+        super().__init__(start, end)
         self.ips = frozenset(ips) if ips is not None else None
         self.retry_after = float(retry_after)
 
@@ -215,7 +343,7 @@ class Outage(FaultRule):
     kind = "outage"
 
     def __init__(self, start: float, end: float, retry_after: float = 2.0):
-        super().__init__(start, end, seed=None)
+        super().__init__(start, end)
         self.retry_after = float(retry_after)
 
     def decide(self, now: float, ip: str) -> FaultDecision | None:
@@ -361,45 +489,15 @@ def corrupt_payload(payload: Any, mode: str) -> Any:
     raise FaultSpecError(f"unknown corruption mode {mode!r}")
 
 
-#: Registry of rule kinds for scenario documents.
-_RULE_KINDS: dict[str, type[FaultRule]] = {
-    cls.kind: cls
-    for cls in (ErrorBurst, BernoulliErrors, IpBan, Outage, Timeouts, SlowResponses, CorruptPages)
-}
+class FaultSchedule(WindowedSchedule):
+    """An ordered, composable set of network fault rules with resumable state."""
 
-#: Rule constructor parameters that scenario documents may set.
-_RULE_PARAMS: dict[str, tuple[str, ...]] = {
-    "error_burst": ("start", "end", "rate", "retry_after"),
-    "bernoulli_errors": ("rate",),
-    "ip_ban": ("start", "end", "ips", "retry_after"),
-    "outage": ("start", "end", "retry_after"),
-    "timeouts": ("start", "end", "rate", "timeout"),
-    "slow_responses": ("start", "end", "rate", "extra_latency"),
-    "corrupt_pages": ("start", "end", "rate", "modes"),
-}
-
-#: Rule kinds that own an RNG (and therefore take a derived seed).
-_SEEDED_KINDS = frozenset(
-    {"error_burst", "bernoulli_errors", "timeouts", "slow_responses", "corrupt_pages"}
-)
-
-
-class FaultSchedule:
-    """An ordered, composable set of fault rules with resumable state."""
-
-    def __init__(self, rules: Iterable[FaultRule] = ()):
-        self.rules = list(rules)
-        # Envelope of all rule windows, for the quiet-air fast path in
-        # :meth:`evaluate`.  The rule list is fixed after construction.
-        self._window_start = min(
-            (rule.start for rule in self.rules), default=float("inf")
+    rule_kinds = {
+        cls.kind: cls
+        for cls in (
+            ErrorBurst, BernoulliErrors, IpBan, Outage, Timeouts, SlowResponses, CorruptPages
         )
-        self._window_end = max(
-            (rule.end for rule in self.rules), default=float("-inf")
-        )
-
-    def __len__(self) -> int:
-        return len(self.rules)
+    }
 
     def evaluate(self, now: float, ip: str) -> FaultDecision | None:
         """Combined decision for one admitted request at virtual ``now``.
@@ -437,70 +535,3 @@ class FaultSchedule:
             return None
         kind = corrupt_kind if corrupt_mode is not None else "slow_responses"
         return FaultDecision(kind, slow_by=slow_by, corrupt_mode=corrupt_mode)
-
-    # -- checkpointing (see repro.store) -------------------------------------
-
-    def export_state(self) -> dict:
-        """Per-rule RNG states, JSON-ready, positionally keyed."""
-        return {"rules": [rule.export_state() for rule in self.rules]}
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        states = state.get("rules", [])
-        if len(states) != len(self.rules):
-            raise FaultSpecError(
-                f"state covers {len(states)} rules, schedule has {len(self.rules)}"
-            )
-        for rule, rule_state in zip(self.rules, states):
-            rule.restore_state(rule_state)
-
-    # -- scenario documents --------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "FaultSchedule":
-        """Build a schedule from a scenario document.
-
-        Document shape (JSON-compatible)::
-
-            {"seed": 7, "rules": [
-                {"kind": "error_burst", "start": 0.5, "end": 2.0, "rate": 0.4},
-                {"kind": "ip_ban", "start": 1.0, "end": 1.8, "ips": ["10.0.0.3"]},
-                ...
-            ]}
-
-        Seeded rules draw from generators derived via ``SeedSequence``
-        from the document seed and the rule's position, so the same
-        document always produces the same chaos.
-        """
-        if not isinstance(spec, Mapping):
-            raise FaultSpecError(f"scenario must be a mapping, got {type(spec).__name__}")
-        base_seed = int(spec.get("seed", 0))
-        rules_spec = spec.get("rules")
-        if not isinstance(rules_spec, (list, tuple)):
-            raise FaultSpecError("scenario needs a 'rules' list")
-        rules: list[FaultRule] = []
-        for index, entry in enumerate(rules_spec):
-            if not isinstance(entry, Mapping):
-                raise FaultSpecError(f"rules[{index}] must be a mapping")
-            kind = entry.get("kind")
-            rule_cls = _RULE_KINDS.get(kind)
-            if rule_cls is None:
-                raise FaultSpecError(
-                    f"rules[{index}]: unknown kind {kind!r} "
-                    f"(known: {sorted(_RULE_KINDS)})"
-                )
-            allowed = _RULE_PARAMS[kind]
-            unknown = set(entry) - set(allowed) - {"kind"}
-            if unknown:
-                raise FaultSpecError(
-                    f"rules[{index}] ({kind}): unknown parameters {sorted(unknown)}"
-                )
-            kwargs = {key: entry[key] for key in allowed if key in entry}
-            if kind in _SEEDED_KINDS:
-                kwargs["seed"] = int(
-                    np.random.SeedSequence([base_seed, index]).generate_state(1)[0]
-                )
-            try:
-                rules.append(rule_cls(**kwargs))
-            except TypeError as exc:
-                raise FaultSpecError(f"rules[{index}] ({kind}): {exc}") from exc
-        return cls(rules)

@@ -10,12 +10,9 @@ perfectly deterministic.
 
 from __future__ import annotations
 
-import copy
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Mapping
-
-import numpy as np
 
 from repro.faults.schedule import (
     BernoulliErrors,
@@ -225,35 +222,6 @@ class RateLimiter:
             )
             for ip, entry in entries.items()
         }
-
-
-class FlakinessModel:
-    """Injects transient 503s with a seeded RNG so crawls stay deterministic.
-
-    Superseded as the front end's failure hook by the composable
-    :class:`repro.faults.FaultSchedule` (the ``error_rate`` constructor
-    knob now builds a :class:`repro.faults.BernoulliErrors` rule with
-    identical draw behaviour); kept as a small standalone model for
-    direct use.
-    """
-
-    def __init__(self, error_rate: float = 0.0, seed: int = 0):
-        if not 0.0 <= error_rate < 1.0:
-            raise ValueError("error_rate must be in [0, 1)")
-        self._error_rate = error_rate
-        self._rng = np.random.default_rng(seed)
-
-    def should_fail(self) -> bool:
-        if self._error_rate == 0.0:
-            return False
-        return bool(self._rng.random() < self._error_rate)
-
-    def export_state(self) -> dict:
-        """The RNG's bit-generator state, JSON-ready."""
-        return copy.deepcopy(self._rng.bit_generator.state)
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        self._rng.bit_generator.state = copy.deepcopy(dict(state))
 
 
 def _handler_accepts_viewer(handler) -> bool:

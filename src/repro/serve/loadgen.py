@@ -37,6 +37,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.faults.schedule import rng_from_json, rng_to_json
 from repro.obs.metrics import Registry, get_registry
 from repro.platform.http import STATUS_OK, HttpFrontend, Request, SimulatedClock
 
@@ -322,15 +323,6 @@ class ServingStack:
         return response, latency, hit
 
 
-def _rng_to_json(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state))
-
-
-def _rng_from_json(rng: np.random.Generator, state: Mapping[str, Any]) -> None:
-    rng.bit_generator.state = dict(state)
-
-
 class _Client:
     __slots__ = ("index", "user_id", "ip", "rng", "next_at")
 
@@ -536,7 +528,7 @@ class LoadGenerator:
                     "user_id": client.user_id,
                     "ip": client.ip,
                     "next_at": client.next_at,
-                    "rng": _rng_to_json(client.rng),
+                    "rng": rng_to_json(client.rng),
                 }
                 for client in self._clients
             ],
@@ -567,7 +559,7 @@ class LoadGenerator:
             client.user_id = int(entry["user_id"])
             client.ip = str(entry["ip"])
             client.next_at = float(entry["next_at"])
-            _rng_from_json(client.rng, entry["rng"])
+            rng_from_json(client.rng, entry["rng"])
             self._schedule(client)
         self.n_requests = int(state["n_requests"])
         self._digest = bytes.fromhex(state["digest"])

@@ -1,9 +1,8 @@
-"""Tests for the simulated HTTP layer: clock, rate limiter, flakiness."""
+"""Tests for the simulated HTTP layer: clock, rate limiter, front end."""
 
 import pytest
 
 from repro.platform.http import (
-    FlakinessModel,
     HttpFrontend,
     RateLimiter,
     Request,
@@ -88,23 +87,6 @@ class TestRateLimiter:
         assert limiter.admit("10.0.0.1")[0]
         assert not limiter.admit("10.0.0.1")[0]
         assert limiter.admit("10.0.0.2")[0]  # fresh bucket
-
-
-class TestFlakiness:
-    def test_zero_rate_never_fails(self):
-        model = FlakinessModel(0.0)
-        assert not any(model.should_fail() for _ in range(100))
-
-    def test_deterministic_given_seed(self):
-        a = [FlakinessModel(0.5, seed=42).should_fail() for _ in range(50)]
-        b = [FlakinessModel(0.5, seed=42).should_fail() for _ in range(50)]
-        assert a == b
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            FlakinessModel(1.0)
-        with pytest.raises(ValueError):
-            FlakinessModel(-0.1)
 
 
 def echo_handler(path: str):
