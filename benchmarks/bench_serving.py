@@ -202,7 +202,7 @@ def test_slo_section_reports_quantiles(bench_extra):
         p99_virtual_seconds=latency["p99"],
         availability=section["availability"]["observed"],
         burn_rate=section["availability"]["burn_rate"],
-        hit_rate=traffic.cache.stats()["hit_rate"],
+        slo_hit_rate=traffic.cache.stats()["hit_rate"],
         trace_digest=traffic.trace_digest,
     )
 

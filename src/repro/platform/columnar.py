@@ -47,7 +47,7 @@ from .errors import CircleLimitError, UnknownUserError
 from .circles import CIRCLE_DISPLAY_LIMIT
 from .models import FieldValue, UserProfile
 from .fields import FIELDS_BY_KEY, FIELD_SPECS
-from .pages import CircleListView, ProfilePage
+from .pages import CircleListView, truncate_list
 from .privacy import FieldPrivacy, PUBLIC
 from .service import GooglePlusService, Notification, _Account
 
@@ -936,10 +936,10 @@ class ColumnarGooglePlusService(GooglePlusService):
     Construct empty, then :meth:`ingest_world` exactly once with the
     bulk-generated columns; scalar mutations afterwards promote the
     touched component per account.  All inherited methods work through
-    the account views; the hot read paths (``profile_page``,
-    ``followers``, ``followees``) are overridden to read the CSR slices
-    directly and, for display-truncated lists, to materialise only the
-    displayed prefix.
+    the account views; the hot read paths (``followers``,
+    ``followees``, ``circle_lists``) are overridden to read the CSR
+    slices directly and, for the display-truncated page lists, to
+    materialise only the displayed prefix.
     """
 
     def __init__(
@@ -1032,41 +1032,22 @@ class ColumnarGooglePlusService(GooglePlusService):
             return world.circles.out_slice(user_id).tolist()
         return super().followees(user_id)
 
-    def profile_page(self, user_id: int, viewer_id: int | None = None) -> ProfilePage:
+    def circle_lists(self, user_id: int) -> tuple[CircleListView, CircleListView]:
         world = self._world
         if not self._base_reads(user_id):
-            return super().profile_page(user_id, viewer_id=viewer_id)
-        account = self._account(user_id)
-        profile = account.profile
-        visible = {
-            key: entry.value
-            for key, entry in profile.fields.items()
-            if self.can_view_field(user_id, viewer_id, key)
-        }
-        in_list = out_list = None
-        if profile.lists_public or viewer_id == user_id:
-            # Materialise only the displayed prefix; the CSR indptr
-            # supplies the true count the paper's lost-edge estimate
-            # reads, without building a million-entry list.
-            limit = self.circle_display_limit
-            if user_id in world.follower_overlay:
-                in_ids = list(world.follower_overlay[user_id])
-                in_count = len(in_ids)
-            else:
-                in_count = world.circles.in_degree(user_id)
-                in_ids = world.circles.in_slice(user_id)[:limit].tolist()
-            if user_id in world.circle_overlay:
-                out_ids = world.circle_overlay[user_id].flattened()
-                out_count = len(out_ids)
-            else:
-                out_count = world.circles.out_degree(user_id)
-                out_ids = world.circles.out_slice(user_id)[:limit].tolist()
-            in_list = CircleListView(tuple(in_ids[:limit]), in_count)
-            out_list = CircleListView(tuple(out_ids[:limit]), out_count)
-        return ProfilePage(
-            user_id=user_id,
-            name=profile.name,
-            fields=visible,
-            in_list=in_list,
-            out_list=out_list,
-        )
+            return super().circle_lists(user_id)
+        # Materialise only the displayed prefix of a CSR row; its degree
+        # is the true count the paper's lost-edge estimate reads, without
+        # building a million-entry list.
+        csr, limit = world.circles, self.circle_display_limit
+        if user_id in world.follower_overlay:
+            in_list = truncate_list(self.followers(user_id), limit)
+        else:
+            in_ids = csr.in_slice(user_id)[:limit].tolist()
+            in_list = CircleListView(tuple(in_ids), csr.in_degree(user_id))
+        if user_id in world.circle_overlay:
+            out_list = truncate_list(self.followees(user_id), limit)
+        else:
+            out_ids = csr.out_slice(user_id)[:limit].tolist()
+            out_list = CircleListView(tuple(out_ids), csr.out_degree(user_id))
+        return in_list, out_list

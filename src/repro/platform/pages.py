@@ -5,6 +5,9 @@ authors scraped: the mandatory name, every field whose privacy admits the
 viewer, and the two flattened circle lists ("Have user in circles" /
 "In user's circles"), each truncated at the display limit but accompanied
 by the *true* count, which Section 2.2 uses to estimate lost edges.
+
+:func:`render_for_class` is the one renderer: a page's bytes depend only
+on its owner's state and the viewer's privacy class.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .circles import CIRCLE_DISPLAY_LIMIT
+from .privacy import SELF_CLASS, visible_to
 
 
 @dataclass(frozen=True)
@@ -54,3 +58,28 @@ class ProfilePage:
 def truncate_list(user_ids: list[int], limit: int = CIRCLE_DISPLAY_LIMIT) -> CircleListView:
     """Apply the circle-list display cap, preserving the true count."""
     return CircleListView(tuple(user_ids[:limit]), len(user_ids))
+
+
+def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:
+    """Render the owner's page as a viewer of privacy class ``class_key``
+    sees it (see :meth:`GooglePlusService.class_of`).
+
+    Fields keep the profile's insertion order: the crawl store writes
+    parsed profiles without sorting their keys.
+    """
+    profile = service.profile(owner_id)
+    fields = {
+        key: entry.value
+        for key, entry in profile.fields.items()
+        if visible_to(entry.privacy, class_key)
+    }
+    in_list = out_list = None
+    if profile.lists_public or class_key == SELF_CLASS:
+        in_list, out_list = service.circle_lists(owner_id)
+    return ProfilePage(
+        user_id=owner_id,
+        name=profile.name,
+        fields=fields,
+        in_list=in_list,
+        out_list=out_list,
+    )

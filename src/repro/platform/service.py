@@ -31,8 +31,8 @@ from .errors import (
 )
 from .http import STATUS_NOT_FOUND, STATUS_OK
 from .models import UserProfile
-from .pages import ProfilePage, truncate_list
-from .privacy import FieldPrivacy, Visibility
+from .pages import CircleListView, ProfilePage, render_for_class, truncate_list
+from .privacy import ANON_CLASS, FieldPrivacy, SELF_CLASS, member_needs, visible_to
 
 
 @dataclass(frozen=True)
@@ -555,60 +555,56 @@ class GooglePlusService:
 
     # -- privacy-aware profile views ----------------------------------------
 
+    def class_of(
+        self, owner_id: int, viewer_id: int | None, needs=None, in_extended=None
+    ) -> tuple:
+        """The viewer's privacy class on the owner's page (None = anonymous;
+        see :mod:`repro.platform.privacy`).
+
+        ``needs`` may pass the owner's precomputed
+        :func:`~repro.platform.privacy.member_needs`, and ``in_extended``
+        a test equal to :meth:`in_extended_circles`; the page cache's
+        memoised classer passes both.
+        """
+        if viewer_id is None:
+            return ANON_CLASS
+        if viewer_id == owner_id:
+            return SELF_CLASS
+        has_extended, custom_names = needs or member_needs(self.profile(owner_id).fields)
+        in_circles = self.in_circles(owner_id, viewer_id)
+        # Without an EXTENDED_CIRCLES field nothing reads the extended
+        # bit, so the two-hop test is skipped and the bit mirrors
+        # in_circles.
+        reach = in_extended or self.in_extended_circles
+        extended = in_circles or (has_extended and reach(owner_id, viewer_id))
+        custom = (
+            self.circles_containing(owner_id, viewer_id, custom_names)
+            if custom_names
+            else ()
+        )
+        return ("m", in_circles, extended, custom)
+
     def can_view_field(self, owner_id: int, viewer_id: int | None, key: str) -> bool:
         """Decide whether ``viewer_id`` (None = anonymous) may see a field."""
         if key == "name":
             return True
-        owner = self._account(owner_id)
-        entry = owner.profile.fields.get(key)
+        entry = self.profile(owner_id).fields.get(key)
         if entry is None:
             return False
-        if viewer_id == owner_id:
-            return True
-        visibility = entry.privacy.visibility
-        if visibility is Visibility.PUBLIC:
-            return True
-        if viewer_id is None:
-            return False
-        if visibility is Visibility.ONLY_YOU:
-            return False
-        if visibility is Visibility.YOUR_CIRCLES:
-            return owner.circles.contains(viewer_id)
-        if visibility is Visibility.EXTENDED_CIRCLES:
-            if owner.circles.contains(viewer_id):
-                return True
-            return any(
-                self._account(contact).circles.contains(viewer_id)
-                for contact in owner.circles.flattened()
-            )
-        # CUSTOM: the viewer must be in one of the named circles.
-        return any(
-            owner.circles.member_of(viewer_id, name)
-            for name in entry.privacy.custom_circles
+        return visible_to(entry.privacy, self.class_of(owner_id, viewer_id))
+
+    def circle_lists(self, user_id: int) -> tuple[CircleListView, CircleListView]:
+        """The page's two circle lists, "Have user in circles" and "In
+        user's circles", each truncated at the display limit."""
+        limit = self.circle_display_limit
+        return (
+            truncate_list(self.followers(user_id), limit),
+            truncate_list(self.followees(user_id), limit),
         )
 
     def profile_page(self, user_id: int, viewer_id: int | None = None) -> ProfilePage:
         """Render the profile page as seen by ``viewer_id`` (None = crawler)."""
-        account = self._account(user_id)
-        profile = account.profile
-        visible = {
-            key: entry.value
-            for key, entry in profile.fields.items()
-            if self.can_view_field(user_id, viewer_id, key)
-        }
-        in_list = out_list = None
-        if profile.lists_public or viewer_id == user_id:
-            in_list = truncate_list(list(account.followers), self.circle_display_limit)
-            out_list = truncate_list(
-                account.circles.flattened(), self.circle_display_limit
-            )
-        return ProfilePage(
-            user_id=user_id,
-            name=profile.name,
-            fields=visible,
-            in_list=in_list,
-            out_list=out_list,
-        )
+        return render_for_class(self, user_id, self.class_of(user_id, viewer_id))
 
     # -- content layer (stream, +1, reshare) --------------------------------
 

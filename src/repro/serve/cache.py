@@ -11,16 +11,16 @@ cache exploits the key structural fact of the privacy model:
     only change which class a *viewer* maps to, never the content of a
     class's page.
 
-So cached pages are keyed by ``(owner_id, class_key)`` where the class
-key captures everything field visibility reads about the viewer:
+So cached pages are keyed by ``(owner_id, class_key)``, with the class
+keys of :mod:`repro.platform.privacy`: ``("anon",)``, ``("self",)`` or
+a member's ``("m", in_circles, in_extended, custom)``.
 
-* ``("anon",)`` — anonymous (the crawler); PUBLIC fields only.
-* ``("self",)`` — the owner; everything, lists always shown.
-* ``("m", in_circles, in_extended, custom)`` — a logged-in member:
-  whether the owner has them in circles, whether they are in the
-  owner's extended circles (computed only when the owner actually has
-  EXTENDED_CIRCLES fields), and which of the owner's CUSTOM-referenced
-  circles contain them.
+**Rendering.** There is one renderer,
+:func:`repro.platform.pages.render_for_class`, re-exported here; the
+uncached ``service.profile_page(owner, viewer)`` is that renderer
+applied to ``service.class_of(owner, viewer)``.  :class:`ViewerClasser`
+memoises the same classification.  So a cached page and an uncached
+one are the same function of owner state and class.
 
 Invalidation therefore splits cleanly:
 
@@ -29,13 +29,12 @@ Invalidation therefore splits cleanly:
   only the ``self`` page when an owner hides lists), and drops the
   viewer→class memo for ``u`` and for ``u``'s followers (whose extended
   reach flows through ``u``);
-* a **profile mutation** on ``o`` drops ``o``'s pages, class memo, and
-  privacy-needs entry;
+* a **profile mutation** on ``o`` drops every cached class of ``o``'s
+  page, its class memo and its privacy-needs entry;
 * **posts and +1s** never touch profile pages and are ignored.
 
-Correctness is proven by differential tests: for every viewer,
-``render_for_class(class_of(owner, viewer))`` must equal
-``service.profile_page(owner, viewer)`` byte for byte.
+Differential tests check cached bytes against uncached ones, and both
+against an independent per-field oracle kept under ``tests/``.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from collections import OrderedDict
 from typing import Any, Mapping
 
 from repro.obs.metrics import Registry, get_registry
-from repro.platform.pages import CircleListView, ProfilePage, truncate_list
-from repro.platform.privacy import Visibility
+from repro.platform.pages import CircleListView, ProfilePage, render_for_class
+from repro.platform.privacy import ANON_CLASS, SELF_CLASS, member_needs
 
 __all__ = [
     "ANON_CLASS",
@@ -60,9 +59,6 @@ __all__ = [
     "payload_to_bytes",
     "render_for_class",
 ]
-
-ANON_CLASS = ("anon",)
-SELF_CLASS = ("self",)
 
 #: When a circle mutation's two-hop memo fan-out (the actor's follower
 #: count) exceeds this, the whole memo is cleared instead — coarser but
@@ -143,25 +139,16 @@ class ViewerClasser:
 
     def needs(self, owner_id: int) -> tuple[bool, tuple[str, ...]]:
         cached = self._needs.get(owner_id)
-        if cached is not None:
-            return cached
-        has_extended = False
-        custom: set[str] = set()
-        for entry in self._service.profile(owner_id).fields.values():
-            visibility = entry.privacy.visibility
-            if visibility is Visibility.EXTENDED_CIRCLES:
-                has_extended = True
-            elif visibility is Visibility.CUSTOM:
-                custom.update(entry.privacy.custom_circles)
-        result = (has_extended, tuple(sorted(custom)))
-        self._needs[owner_id] = result
-        return result
+        if cached is None:
+            fields = self._service.profile(owner_id).fields
+            cached = self._needs[owner_id] = member_needs(fields)
+        return cached
 
     def class_of(self, owner_id: int, viewer_id: int | None) -> tuple:
-        if viewer_id is None:
-            return ANON_CLASS
-        if viewer_id == owner_id:
-            return SELF_CLASS
+        """``service.class_of(owner_id, viewer_id)``, memoised."""
+        service = self._service
+        if viewer_id is None or viewer_id == owner_id:
+            return service.class_of(owner_id, viewer_id)
         per_owner = self._memo.get(owner_id)
         if per_owner is not None:
             key = per_owner.get(viewer_id)
@@ -169,21 +156,9 @@ class ViewerClasser:
                 return key
         else:
             per_owner = self._memo[owner_id] = {}
-        service = self._service
-        has_extended, custom_names = self.needs(owner_id)
-        in_circles = service.in_circles(owner_id, viewer_id)
-        if in_circles:
-            in_extended = True
-        elif has_extended:
-            in_extended = self._in_extended(owner_id, viewer_id)
-        else:
-            in_extended = False  # placeholder: no EXTENDED field reads it
-        custom = (
-            service.circles_containing(owner_id, viewer_id, custom_names)
-            if custom_names
-            else ()
+        key = service.class_of(
+            owner_id, viewer_id, self.needs(owner_id), self._in_extended
         )
-        key = ("m", in_circles, in_extended, custom)
         per_owner[viewer_id] = key
         return key
 
@@ -196,6 +171,8 @@ class ViewerClasser:
         """
         followers = self._follower_sets.get(viewer_id)
         if followers is None:
+            if viewer_id not in self._service:
+                return False  # not a user: nobody has them in circles
             followers = set(self._service.followers(viewer_id))
             self._follower_sets[viewer_id] = followers
         followees = self._followee_sets.get(owner_id)
@@ -234,51 +211,6 @@ class ViewerClasser:
         self._needs.clear()
         self._follower_sets.clear()
         self._followee_sets.clear()
-
-
-def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:
-    """Render the owner's page for a privacy class — viewer-independent.
-
-    Must agree byte-for-byte with ``service.profile_page(owner, viewer)``
-    for every viewer whose :meth:`ViewerClasser.class_of` is
-    ``class_key``; the differential tests enforce it.
-    """
-    if class_key == ANON_CLASS:
-        return service.profile_page(owner_id, viewer_id=None)
-    if class_key == SELF_CLASS:
-        return service.profile_page(owner_id, viewer_id=owner_id)
-    _, in_circles, in_extended, custom = class_key
-    profile = service.profile(owner_id)
-    visible = {}
-    for key, entry in profile.fields.items():
-        visibility = entry.privacy.visibility
-        if visibility is Visibility.PUBLIC:
-            show = True
-        elif visibility is Visibility.YOUR_CIRCLES:
-            show = in_circles
-        elif visibility is Visibility.EXTENDED_CIRCLES:
-            show = in_extended
-        elif visibility is Visibility.CUSTOM:
-            show = any(name in custom for name in entry.privacy.custom_circles)
-        else:  # ONLY_YOU
-            show = False
-        if show:
-            visible[key] = entry.value
-    in_list = out_list = None
-    if profile.lists_public:
-        in_list = truncate_list(
-            service.followers(owner_id), service.circle_display_limit
-        )
-        out_list = truncate_list(
-            service.followees(owner_id), service.circle_display_limit
-        )
-    return ProfilePage(
-        user_id=owner_id,
-        name=profile.name,
-        fields=visible,
-        in_list=in_list,
-        out_list=out_list,
-    )
 
 
 def _class_to_json(class_key: tuple) -> list:

@@ -143,10 +143,19 @@ class IncrementalPools:
             self._cums[group] = None
 
     def cumulative(self, group: int) -> np.ndarray:
-        """The group's cumulative weight table, rebuilt lazily."""
+        """The group's cumulative weight table, rebuilt lazily.
+
+        A table with positive total is normalized to end at exactly 1.0,
+        so picks compare raw rolls in [0, 1) against it: a roll can never
+        land past the last positive-weight member, and subnormal totals
+        (where ``roll * total`` would round away the proportions) sample
+        as accurately as any other.
+        """
         cum = self._cums[group]
         if cum is None:
             cum = self._weights[self.starts[group]:self.stops[group]].cumsum()
+            if len(cum) and cum[-1] > 0:
+                cum /= cum[-1]
             self._cums[group] = cum
             self.rebuilds += 1
         return cum
@@ -156,14 +165,11 @@ class IncrementalPools:
         cum = self.cumulative(group)
         if len(cum) == 0 or cum[-1] <= 0:
             raise ValueError(f"group {group} has no samplable weight")
-        idx = cum.searchsorted(rolls * cum[-1], side="right")
-        return self.order[self.starts[group] + np.minimum(idx, len(cum) - 1)]
+        return self.order[self.starts[group] + cum.searchsorted(rolls, side="right")]
 
     def pick_scalar(self, group: int, roll: float) -> int:
         """Single weight-proportional pick (the collision-retry fallback)."""
-        cum = self.cumulative(group)
-        idx = min(int(cum.searchsorted(roll * cum[-1], side="right")), len(cum) - 1)
-        return int(self.order[self.starts[group] + idx])
+        return int(self.pick(group, np.array([roll]))[0])
 
 
 class _KeySet:

@@ -7,7 +7,8 @@ identical randomized operation sequences — circle edits (including
 removals and never-member removals), field updates across every privacy
 level, list-visibility toggles, post-ingest registrations — and asserts
 after every step that every observable agrees: profile fields and
-privacy-rendered pages (byte-for-byte), ``circles_of`` / ``flattened``
+privacy-rendered pages (byte-for-byte, and against the per-field
+oracle in ``tests/reference_pages.py``), ``circles_of`` / ``flattened``
 / ``out_degree``, followers, and ``member_of``.
 """
 
@@ -33,6 +34,7 @@ from repro.platform.privacy import (
 )
 from repro.platform.service import GooglePlusService
 from repro.serve.cache import page_to_bytes
+from tests.reference_pages import reference_page
 
 N_BASE = 10
 CIRCLES = ("friends", "family", "vips")
@@ -163,6 +165,8 @@ class ColumnarEquivalenceMachine(RuleBasedStateMachine):
                 ref = page_to_bytes(self.reference.profile_page(owner, viewer))
                 col = page_to_bytes(self.columnar.profile_page(owner, viewer))
                 assert ref == col, (owner, viewer)
+                oracle = page_to_bytes(reference_page(self.reference, owner, viewer))
+                assert oracle == ref, (owner, viewer)
 
     @invariant()
     def profiles_identical(self):

@@ -3,8 +3,9 @@
 The load-bearing property: for every ``(owner, viewer)`` pair,
 ``render_for_class(class_of(owner, viewer))`` is byte-identical to
 ``service.profile_page(owner, viewer)`` — cached pages are the uncached
-pages, always.  Plus the exact-invalidation contract for every mutation
-kind.
+pages, always — and both match an independent per-field oracle
+(``tests/reference_pages.py``).  Plus the exact-invalidation contract
+for every mutation kind.
 """
 
 import pytest
@@ -28,6 +29,7 @@ from repro.serve import (
     render_for_class,
 )
 from repro.serve.loadgen import EventClock
+from tests.reference_pages import reference_page
 
 
 def build_service() -> GooglePlusService:
@@ -62,6 +64,8 @@ def assert_equivalent(service, classer, owner_id, viewer_id):
     key = classer.class_of(owner_id, viewer_id)
     got = page_to_bytes(render_for_class(service, owner_id, key))
     assert got == expected, (owner_id, viewer_id, key)
+    oracle = page_to_bytes(reference_page(service, owner_id, viewer_id))
+    assert oracle == expected, (owner_id, viewer_id, key)
 
 
 class TestViewerClasser:
@@ -80,6 +84,18 @@ class TestViewerClasser:
         assert classer.class_of(0, 3) == ("m", False, True, ())
         # 5 is a stranger.
         assert classer.class_of(0, 5) == ("m", False, False, ())
+
+    def test_unregistered_viewer_is_a_stranger(self):
+        # Viewer ids arrive from outside the platform.  Owner 0 has an
+        # EXTENDED_CIRCLES field, so classing reaches the two-hop test;
+        # cached and uncached rendering must agree on the stranger page.
+        service = build_service()
+        assert 99 not in service
+        classer = ViewerClasser(service)
+        assert classer.class_of(0, 99) == ("m", False, False, ())
+        assert_equivalent(service, classer, 0, 99)
+        page, _ = make_cache(service).lookup(0, 99)
+        assert page_to_bytes(page) == page_to_bytes(service.profile_page(0, 99))
 
     def test_exhaustive_render_equivalence(self):
         service = build_service()
@@ -108,11 +124,17 @@ class TestViewerClasser:
 
 
 class TestEquivalenceOnSyntheticWorld:
-    def test_sampled_pairs_byte_identical(self, small_world):
-        service = small_world.service
+    @pytest.mark.parametrize("store", ["dict", "columnar"])
+    def test_sampled_pairs_byte_identical(self, store):
+        from repro.synth import build_world, WorldConfig
+
+        world = build_world(
+            WorldConfig(n_users=2_500, seed=13, engine="fast", store=store)
+        )
+        service = world.service
         classer = ViewerClasser(service)
         users = sorted(service.user_ids())
-        owners = users[:25] + users[-5:] + [small_world.seed_user_id()]
+        owners = users[:25] + users[-5:] + [world.seed_user_id()]
         viewers = [None] + users[:10] + users[::250]
         for owner_id in owners:
             for viewer_id in viewers:
