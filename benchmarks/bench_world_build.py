@@ -1,6 +1,6 @@
-"""World-build bench: engine × store wall time and peak RSS.
+"""World-build bench: wall time and peak RSS per generation engine.
 
-Each (engine, store, size) cell runs ``build_world`` in a fresh
+Each (engine, size) cell runs ``build_world`` in a fresh
 subprocess — heap reuse and allocator state make in-process trials
 flatter than reality. Wall time takes the best of ``TRIALS`` runs (the
 standard way to damp scheduler noise on a busy box); peak RSS takes the
@@ -17,14 +17,14 @@ children, so one big trial poisons every later cell. ``wait4`` charges
 exactly one child's whole lifetime.
 
 The per-cell numbers land in ``BENCH_world_build.json`` via the shared
-bench harness. Gates: the fast engine must not out-eat the reference,
-the columnar store must not out-eat the dict store, and ≥5× speedup is
+bench harness. Both engines build onto the one service store. Gates:
+the fast engine must not out-eat the reference, and ≥5× speedup is
 asserted at the largest size when it reaches 100k users.
 
 Override the sizes with ``REPRO_BENCH_WORLD_USERS`` (comma-separated)
 and the trial count with ``REPRO_BENCH_WORLD_TRIALS``. Setting
 ``REPRO_BENCH_MILLION=1`` enables the million-user cell: a 1M-user
-fast+columnar build with a hard ≤2 GB RSS gate and a crawl sample over
+fast-engine build with a hard ≤2 GB RSS gate and a crawl sample over
 the built world (the CI ``million-user`` job runs exactly this).
 """
 
@@ -43,15 +43,11 @@ SIZES = tuple(
     for s in os.environ.get("REPRO_BENCH_WORLD_USERS", "20000,100000").split(",")
 )
 TRIALS = int(os.environ.get("REPRO_BENCH_WORLD_TRIALS", "3"))
+#: Stamped into the bench report's config: the sizes actually run.
+USERS = list(SIZES)
+SEED = 7
 
-#: (engine, store) grid; the reference engine only ships a dict-store
-#: bench cell — reference+columnar exists but is a conversion of the
-#: same objects, so it adds time without adding information.
-CELLS = (
-    ("reference", "dict"),
-    ("fast", "dict"),
-    ("fast", "columnar"),
-)
+ENGINES = ("reference", "fast")
 
 MILLION_USERS = 1_000_000
 MILLION_RSS_MB = 2_048
@@ -64,12 +60,12 @@ import time
 
 from repro.synth import build_world, WorldConfig
 
-engine, store, n, crawl_pages = (
-    sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+engine, n, seed, crawl_pages = (
+    sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 )
 wall0 = time.perf_counter()
 cpu0 = time.process_time()
-world = build_world(WorldConfig(n_users=n, engine=engine, store=store))
+world = build_world(WorldConfig(n_users=n, seed=seed, engine=engine))
 cpu1 = time.process_time()
 wall1 = time.perf_counter()
 result = {
@@ -91,7 +87,7 @@ print(json.dumps(result))
 """
 
 
-def _build_once(engine: str, store: str, n_users: int, crawl_pages: int = 0) -> dict:
+def _build_once(engine: str, n_users: int, crawl_pages: int = 0) -> dict:
     """One subprocess build; RSS comes from the wait4 rusage, not the child."""
     import repro
 
@@ -101,7 +97,7 @@ def _build_once(engine: str, store: str, n_users: int, crawl_pages: int = 0) -> 
         p for p in (src_dir, env.get("PYTHONPATH")) if p
     )
     argv = [
-        sys.executable, "-c", _CHILD, engine, store, str(n_users), str(crawl_pages)
+        sys.executable, "-c", _CHILD, engine, str(n_users), str(SEED), str(crawl_pages)
     ]
     proc = subprocess.Popen(
         argv,
@@ -118,7 +114,7 @@ def _build_once(engine: str, store: str, n_users: int, crawl_pages: int = 0) -> 
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(
-            f"child build failed ({engine}/{store} n={n_users}):\n{output}"
+            f"child build failed ({engine} n={n_users}):\n{output}"
         )
     result = json.loads(output.splitlines()[-1])
     # Linux ru_maxrss is in KiB.
@@ -126,11 +122,11 @@ def _build_once(engine: str, store: str, n_users: int, crawl_pages: int = 0) -> 
     return result
 
 
-def _bench_cell(engine: str, store: str, n_users: int, trials: int) -> dict:
-    runs = [_build_once(engine, store, n_users) for _ in range(trials)]
+def _bench_cell(engine: str, n_users: int, trials: int) -> dict:
+    runs = [_build_once(engine, n_users) for _ in range(trials)]
     best = min(runs, key=lambda r: r["wall_seconds"])
     edges = {r["edges"] for r in runs}
-    assert len(edges) == 1, f"{engine}/{store} n={n_users} not deterministic: {edges}"
+    assert len(edges) == 1, f"{engine} n={n_users} not deterministic: {edges}"
     return {
         **best,
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
@@ -143,19 +139,18 @@ def _bench_cell(engine: str, store: str, n_users: int, trials: int) -> dict:
 def test_world_build_speedup(bench_extra):
     cells: dict[str, dict] = {}
     for n_users in SIZES:
-        for engine, store in CELLS:
-            cell = _bench_cell(engine, store, n_users, TRIALS)
-            cells[f"{engine}_{store}_{n_users}"] = cell
+        for engine in ENGINES:
+            cell = _bench_cell(engine, n_users, TRIALS)
+            cells[f"{engine}_{n_users}"] = cell
             print(
-                f"\n{engine:>9}/{store:<8} n={n_users}:"
+                f"\n{engine:>9} n={n_users}:"
                 f" wall {cell['wall_seconds']:.2f}s"
                 f" cpu {cell['cpu_seconds']:.2f}s rss {cell['peak_rss_mb']}MB"
                 f" edges {cell['edges']}"
             )
     largest = max(SIZES)
     speedups = {
-        n: cells[f"reference_dict_{n}"]["wall_seconds"]
-        / cells[f"fast_dict_{n}"]["wall_seconds"]
+        n: cells[f"reference_{n}"]["wall_seconds"] / cells[f"fast_{n}"]["wall_seconds"]
         for n in SIZES
     }
     for n, ratio in speedups.items():
@@ -166,15 +161,10 @@ def test_world_build_speedup(bench_extra):
         cells=cells,
         speedups={str(n): round(s, 3) for n, s in speedups.items()},
     )
-    # Memory: the fast engine must not out-eat the reference, and the
-    # columnar store must not out-eat the dict store.
+    # Memory: the fast engine must not out-eat the reference.
     assert (
-        cells[f"fast_dict_{largest}"]["peak_rss_mb"]
-        <= 1.2 * cells[f"reference_dict_{largest}"]["peak_rss_mb"]
-    )
-    assert (
-        cells[f"fast_columnar_{largest}"]["peak_rss_mb"]
-        <= 1.1 * cells[f"fast_dict_{largest}"]["peak_rss_mb"]
+        cells[f"fast_{largest}"]["peak_rss_mb"]
+        <= 1.2 * cells[f"reference_{largest}"]["peak_rss_mb"]
     )
     # Acceptance gate: ≥5× at 100k users.
     if largest >= 100_000:
@@ -190,8 +180,8 @@ def test_world_build_speedup(bench_extra):
     reason="million-user cell is opt-in (REPRO_BENCH_MILLION=1)",
 )
 def test_million_user_world(bench_extra):
-    """The headline cell: 1M users, columnar store, hard RSS + wall gates."""
-    cell = _build_once("fast", "columnar", MILLION_USERS, crawl_pages=2_000)
+    """The headline cell: 1M users, fast engine, hard RSS + wall gates."""
+    cell = _build_once("fast", MILLION_USERS, crawl_pages=2_000)
     print(
         f"\nmillion-user build: wall {cell['wall_seconds']:.1f}s"
         f" rss {cell['peak_rss_mb']}MB edges {cell['edges']}"
@@ -199,7 +189,7 @@ def test_million_user_world(bench_extra):
     )
     bench_extra(million=cell)
     assert cell["peak_rss_mb"] <= MILLION_RSS_MB, (
-        f"1M-user columnar build peaked at {cell['peak_rss_mb']}MB"
+        f"1M-user build peaked at {cell['peak_rss_mb']}MB"
         f" (gate {MILLION_RSS_MB}MB)"
     )
     assert cell["wall_seconds"] <= MILLION_WALL_SECONDS

@@ -1,12 +1,10 @@
-"""Struct-of-arrays backing store for million-user worlds.
+"""Struct-of-arrays base state of the service.
 
-The dict-backed :class:`~repro.platform.service.GooglePlusService` spends
-a few kilobytes of Python objects per account — a ``UserProfile``, one
-``FieldValue`` per field, a ``CircleStore`` with two dicts, a follower
-dict, a notification list.  At 100k users that is ~1 GB of RSS; at the
-paper's multi-million-user scale it does not fit on a laptop at all.
-
-This module stores the same world columnar:
+A per-object store spends a few kilobytes of Python objects per account
+— a ``UserProfile``, one ``FieldValue`` per field, a ``CircleStore``
+with two dicts, a follower dict, a notification list.  At 100k users
+that is ~1 GB of RSS; at the paper's multi-million-user scale it does
+not fit on a laptop at all.  So the ingested world is held as columns:
 
 * **Profiles** become one :class:`FieldColumn` per profile field — a
   ``uint16`` privacy-code array over all users (``0xFFFF`` = field
@@ -18,20 +16,12 @@ This module stores the same world columnar:
 * **Circles** become CSR arrays: ``out_indptr``/``out_targets`` with a
   ``uint8`` circle-label code per membership, plus a follower-side CSR —
   exactly the layout :mod:`repro.graph.csr` analyses, so a crawl over
-  the columnar world reads arrays end to end.
-* **Mutations** escape hatch through copy-on-write promotion: the first
-  scalar write to an account's profile, circles, followers or
-  notifications materialises that one component as the ordinary dict
-  structure and all views transparently delegate to it from then on.
-  Bulk reads never promote, so a crawl leaves the world columnar.
+  the world reads arrays end to end.
 
-:class:`ColumnarGooglePlusService` subclasses the reference service and
-keeps its entire scalar API: every method observable through
-``GooglePlusService`` behaves identically (the hypothesis suite in
-``tests/platform/test_columnar_stateful.py`` proves state-identity over
-randomized op sequences, and the e2e test proves crawled edge arrays
-bit-identical).  The dict-backed store stays the default engine, exactly
-as ``fastgen`` left the reference generator the default.
+These arrays are never written after ingest.
+:class:`~repro.platform.service.GooglePlusService` reads them directly
+and absorbs every write in a per-user copy-on-write overlay (see
+``docs/storage.md``).
 """
 
 from __future__ import annotations
@@ -43,22 +33,16 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from .circles import CircleStore, DEFAULT_CIRCLE, OUT_CIRCLE_LIMIT
-from .errors import CircleLimitError, UnknownUserError
-from .circles import CIRCLE_DISPLAY_LIMIT
+from .errors import CircleLimitError
 from .models import FieldValue, UserProfile
 from .fields import FIELDS_BY_KEY, FIELD_SPECS
-from .pages import CircleListView, truncate_list
-from .privacy import FieldPrivacy, PUBLIC
-from .service import GooglePlusService, Notification, _Account
+from .privacy import FieldPrivacy
 
 __all__ = [
     "ABSENT",
     "ColumnarCircles",
-    "ColumnarGooglePlusService",
-    "ColumnarProfile",
     "ColumnarProfileStore",
     "FieldColumn",
-    "ProfilesView",
 ]
 
 #: Sentinel privacy code marking "field absent on this profile".
@@ -67,11 +51,6 @@ ABSENT = np.uint16(0xFFFF)
 #: Field keys in registry order; ``key_code`` arrays index this tuple.
 FIELD_KEYS: tuple[str, ...] = tuple(spec.key for spec in FIELD_SPECS)
 _KEY_INDEX: dict[str, int] = {key: i for i, key in enumerate(FIELD_KEYS)}
-
-#: Bound on the per-world cache of per-owner membership sets used by
-#: ``contains``; one entry costs O(out-degree), so the cache is kept
-#: far below the world size.
-_MEMBER_SET_CACHE = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +154,26 @@ class ColumnarProfileStore:
         for key in self.field_keys(uid):
             yield key, self.columns[key].entry(uid)
 
-    def materialize_fields(self, uid: int) -> dict[str, FieldValue]:
-        return {key: entry for key, entry in self.iter_entries(uid)}
-
     def materialize_profile(self, uid: int) -> UserProfile:
         return UserProfile(
             user_id=uid,
             name=self.name_of(uid),
-            fields=self.materialize_fields(uid),
+            fields=dict(self.iter_entries(uid)),
             lists_public=bool(self.lists_public[uid]),
         )
+
+    @classmethod
+    def empty(cls) -> "ColumnarProfileStore":
+        return cls(n=0, columns={}, lists_public=np.zeros(0, dtype=bool))
 
     @classmethod
     def from_profiles(cls, profiles: Mapping[int, UserProfile]) -> "ColumnarProfileStore":
         """Generic interning ingest of an id-contiguous profile dict.
 
-        Value and privacy objects are interned by identity — the fast
-        profile builder shares ``FieldValue`` instances across users, so
-        identity interning compresses exactly where the data repeats.
-        Used by the equivalence tests and by callers that already built
-        object profiles; the memory-diet path builds columns directly
+        Value and privacy objects are interned by identity, so shared
+        objects compress exactly where the data repeats.  The reference
+        generation engine, which builds :class:`UserProfile` objects,
+        ingests through this; the fast engine builds columns directly
         (:func:`repro.synth.fastprofiles.build_profile_columns_fast`).
         """
         n = len(profiles)
@@ -395,13 +374,14 @@ class ColumnarCircles:
                 names.append(name)
         return names
 
-    def members_of(self, uid: int, circle: str) -> list[int]:
-        targets, labs = self.memberships(uid)
+    def has_member(self, uid: int, target: int, circle: str) -> bool:
+        """Whether ``target`` is in ``uid``'s circle named ``circle``."""
         try:
             code = self.labels.index(circle)
         except ValueError:
-            return []
-        return targets[labs == np.uint8(code)].tolist()
+            return False
+        targets, labs = self.memberships(uid)
+        return bool(((targets == target) & (labs == np.uint8(code))).any())
 
     def materialize_store(self, uid: int, exempt: bool) -> CircleStore:
         """The owner's circles as an ordinary dict-backed CircleStore."""
@@ -430,624 +410,3 @@ class ColumnarCircles:
             in_indptr=zero.copy(),
             in_sources=none32,
         )
-
-
-# ---------------------------------------------------------------------------
-# views — UserProfile / CircleStore / followers / notifications lookalikes
-# ---------------------------------------------------------------------------
-
-
-class _FieldsView(Mapping):
-    """Read-through mapping view of one user's profile fields.
-
-    Mutating operations promote the profile to an ordinary dict-backed
-    :class:`UserProfile` held in the service's overlay, and every view
-    operation re-checks the overlay first, so stale handles are
-    impossible.
-    """
-
-    __slots__ = ("_world", "_uid")
-
-    def __init__(self, world: "_ColumnarWorld", uid: int):
-        self._world = world
-        self._uid = uid
-
-    def _ovl(self) -> dict[str, FieldValue] | None:
-        profile = self._world.profile_overlay.get(self._uid)
-        return None if profile is None else profile.fields
-
-    def __getitem__(self, key: str) -> FieldValue:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl[key]
-        column = self._world.profiles.columns.get(key)
-        if column is None or not column.present(self._uid):
-            raise KeyError(key)
-        return column.entry(self._uid)
-
-    def get(self, key: str, default=None):
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.get(key, default)
-        column = self._world.profiles.columns.get(key)
-        if column is None or not column.present(self._uid):
-            return default
-        return column.entry(self._uid)
-
-    def __contains__(self, key: object) -> bool:
-        ovl = self._ovl()
-        if ovl is not None:
-            return key in ovl
-        column = self._world.profiles.columns.get(key)
-        return column is not None and column.present(self._uid)
-
-    def __iter__(self) -> Iterator[str]:
-        ovl = self._ovl()
-        if ovl is not None:
-            return iter(ovl)
-        return iter(self._world.profiles.field_keys(self._uid))
-
-    def __len__(self) -> int:
-        ovl = self._ovl()
-        if ovl is not None:
-            return len(ovl)
-        return len(self._world.profiles.field_keys(self._uid))
-
-    def items(self):
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.items()
-        return list(self._world.profiles.iter_entries(self._uid))
-
-    def __setitem__(self, key: str, value: FieldValue) -> None:
-        self._world.promote_profile(self._uid).fields[key] = value
-
-    def __delitem__(self, key: str) -> None:
-        del self._world.promote_profile(self._uid).fields[key]
-
-
-class ColumnarProfile:
-    """A :class:`UserProfile`-shaped view over the profile columns."""
-
-    __slots__ = ("_world", "user_id")
-
-    def __init__(self, world: "_ColumnarWorld", uid: int):
-        self._world = world
-        self.user_id = uid
-
-    def _ovl(self) -> UserProfile | None:
-        return self._world.profile_overlay.get(self.user_id)
-
-    @property
-    def name(self) -> str:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.name
-        return self._world.profiles.name_of(self.user_id)
-
-    @property
-    def fields(self) -> Mapping:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.fields
-        return _FieldsView(self._world, self.user_id)
-
-    @property
-    def lists_public(self) -> bool:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.lists_public
-        return bool(self._world.profiles.lists_public[self.user_id])
-
-    @lists_public.setter
-    def lists_public(self, public: bool) -> None:
-        ovl = self._ovl()
-        if ovl is not None:
-            ovl.lists_public = bool(public)
-        else:
-            self._world.profiles.lists_public[self.user_id] = bool(public)
-
-    def set_field(self, key: str, value: Any, privacy: FieldPrivacy = PUBLIC) -> None:
-        self._world.promote_profile(self.user_id).set_field(key, value, privacy)
-
-    # The read helpers are duck-typed off UserProfile: they only touch
-    # ``name`` / ``fields`` / ``get_public``, all of which this view
-    # provides, so the reference implementations apply verbatim.
-    get_public = UserProfile.get_public
-    public_field_keys = UserProfile.public_field_keys
-    count_public_fields = UserProfile.count_public_fields
-    shares_phone_publicly = UserProfile.shares_phone_publicly
-    current_place = UserProfile.current_place
-
-
-class _CirclesView:
-    """A :class:`CircleStore`-shaped view over the circle CSR.
-
-    Read methods are columnar; any write — and any access to the raw
-    ``members_by_circle`` / ``all_members`` dicts — promotes the owner's
-    circles to an ordinary :class:`CircleStore` first.
-    """
-
-    __slots__ = ("_world", "owner_id")
-
-    def __init__(self, world: "_ColumnarWorld", uid: int):
-        self._world = world
-        self.owner_id = uid
-
-    def _ovl(self) -> CircleStore | None:
-        return self._world.circle_overlay.get(self.owner_id)
-
-    def _promote(self) -> CircleStore:
-        return self._world.promote_circles(self.owner_id)
-
-    @property
-    def exempt_from_limit(self) -> bool:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.exempt_from_limit
-        return bool(self._world.exempt[self.owner_id])
-
-    @property
-    def members_by_circle(self) -> dict[str, dict[int, None]]:
-        return self._promote().members_by_circle
-
-    @members_by_circle.setter
-    def members_by_circle(self, value) -> None:
-        self._promote().members_by_circle = value
-
-    @property
-    def all_members(self) -> dict[int, None]:
-        return self._promote().all_members
-
-    @all_members.setter
-    def all_members(self, value) -> None:
-        self._promote().all_members = value
-
-    def create_circle(self, name: str) -> None:
-        self._promote().create_circle(name)
-
-    def add(self, target_id: int, circle: str = DEFAULT_CIRCLE) -> bool:
-        return self._promote().add(target_id, circle)
-
-    def extend(self, target_ids, circle: str = DEFAULT_CIRCLE) -> list[int]:
-        return self._promote().extend(target_ids, circle)
-
-    def remove(self, target_id: int, circle: str | None = None) -> bool:
-        return self._promote().remove(target_id, circle)
-
-    def circle_names(self) -> list[str]:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.circle_names()
-        return self._world.circles.circle_names(self.owner_id)
-
-    def contains(self, target_id: int) -> bool:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.contains(target_id)
-        return self._world.member_set(self.owner_id).__contains__(target_id)
-
-    def member_of(self, target_id: int, circle: str) -> bool:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.member_of(target_id, circle)
-        circles = self._world.circles
-        try:
-            code = circles.labels.index(circle)
-        except ValueError:
-            return False
-        targets, labs = circles.memberships(self.owner_id)
-        hit = (targets == target_id) & (labs == np.uint8(code))
-        return bool(hit.any()) if len(targets) else False
-
-    def circles_of(self, target_id: int) -> list[str]:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.circles_of(target_id)
-        circles = self._world.circles
-        targets, labs = circles.memberships(self.owner_id)
-        hits = {
-            circles.labels[code]
-            for target, code in zip(targets.tolist(), labs.tolist())
-            if target == target_id
-        }
-        # Match dict iteration order: the default circle first (created
-        # empty at registration), then labels in first-edge order.
-        return [
-            name for name in circles.circle_names(self.owner_id) if name in hits
-        ]
-
-    def out_degree(self) -> int:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.out_degree()
-        return self._world.circles.out_degree(self.owner_id)
-
-    def flattened(self) -> list[int]:
-        ovl = self._ovl()
-        if ovl is not None:
-            return ovl.flattened()
-        return self._world.circles.out_slice(self.owner_id).tolist()
-
-
-class _FollowersView:
-    """Dict-shaped view of one user's followers (insertion-ordered)."""
-
-    __slots__ = ("_world", "_uid")
-
-    def __init__(self, world: "_ColumnarWorld", uid: int):
-        self._world = world
-        self._uid = uid
-
-    def _ovl(self) -> dict[int, None] | None:
-        return self._world.follower_overlay.get(self._uid)
-
-    def _promote(self) -> dict[int, None]:
-        return self._world.promote_followers(self._uid)
-
-    def __iter__(self) -> Iterator[int]:
-        ovl = self._ovl()
-        if ovl is not None:
-            return iter(ovl)
-        return iter(self._world.circles.in_slice(self._uid).tolist())
-
-    def __len__(self) -> int:
-        ovl = self._ovl()
-        if ovl is not None:
-            return len(ovl)
-        return self._world.circles.in_degree(self._uid)
-
-    def __contains__(self, uid: object) -> bool:
-        ovl = self._ovl()
-        if ovl is not None:
-            return uid in ovl
-        slice_ = self._world.circles.in_slice(self._uid)
-        return bool(np.any(slice_ == uid)) if len(slice_) else False
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __setitem__(self, uid: int, value: None) -> None:
-        self._promote()[uid] = value
-
-    def pop(self, uid: int, *default):
-        return self._promote().pop(uid, *default)
-
-    def update(self, other) -> None:
-        self._promote().update(other)
-
-    def keys(self):
-        return list(self)
-
-
-class _NotificationsView:
-    """List-shaped view of a user's notification feed.
-
-    The base feed is derived from the follower CSR (one
-    ``added_to_circle`` per incoming link, in link order); appends and
-    clears promote to a real list.
-    """
-
-    __slots__ = ("_world", "_uid")
-
-    def __init__(self, world: "_ColumnarWorld", uid: int):
-        self._world = world
-        self._uid = uid
-
-    def _ovl(self) -> list[Notification] | None:
-        return self._world.notification_overlay.get(self._uid)
-
-    def _materialize(self) -> list[Notification]:
-        return self._world.promote_notifications(self._uid)
-
-    def __iter__(self) -> Iterator[Notification]:
-        ovl = self._ovl()
-        if ovl is not None:
-            return iter(ovl)
-        return (
-            Notification(kind="added_to_circle", actor_id=actor)
-            for actor in self._world.circles.in_slice(self._uid).tolist()
-        )
-
-    def __len__(self) -> int:
-        ovl = self._ovl()
-        if ovl is not None:
-            return len(ovl)
-        return self._world.circles.in_degree(self._uid)
-
-    def append(self, note: Notification) -> None:
-        self._materialize().append(note)
-
-    def extend(self, notes) -> None:
-        self._materialize().extend(notes)
-
-    def clear(self) -> None:
-        # Clearing needs no materialisation of the derived feed.
-        self._world.notification_overlay[self._uid] = []
-
-
-class _LazyAccount:
-    """The ``_Account`` lookalike handed out for base (columnar) users."""
-
-    __slots__ = ("_world", "user_id")
-
-    def __init__(self, world: "_ColumnarWorld", uid: int):
-        self._world = world
-        self.user_id = uid
-
-    @property
-    def profile(self) -> ColumnarProfile:
-        return ColumnarProfile(self._world, self.user_id)
-
-    @property
-    def circles(self) -> _CirclesView:
-        return _CirclesView(self._world, self.user_id)
-
-    @property
-    def followers(self) -> _FollowersView:
-        return _FollowersView(self._world, self.user_id)
-
-    @followers.setter
-    def followers(self, value: dict[int, None]) -> None:
-        self._world.follower_overlay[self.user_id] = value
-
-    @property
-    def notifications(self) -> _NotificationsView:
-        return _NotificationsView(self._world, self.user_id)
-
-    @notifications.setter
-    def notifications(self, value: list[Notification]) -> None:
-        self._world.notification_overlay[self.user_id] = list(value)
-
-
-class _ColumnarWorld:
-    """The columnar state: profile columns, circle CSR, and the
-    copy-on-write overlays that absorb scalar mutations."""
-
-    def __init__(
-        self,
-        profiles: ColumnarProfileStore,
-        circles: ColumnarCircles,
-        exempt: np.ndarray,
-    ):
-        self.profiles = profiles
-        self.circles = circles
-        self.exempt = exempt
-        self.n = profiles.n
-        self.profile_overlay: dict[int, UserProfile] = {}
-        self.circle_overlay: dict[int, CircleStore] = {}
-        self.follower_overlay: dict[int, dict[int, None]] = {}
-        self.notification_overlay: dict[int, list[Notification]] = {}
-        self._member_sets: dict[int, frozenset] = {}
-
-    # -- promotion ---------------------------------------------------------
-
-    def promote_profile(self, uid: int) -> UserProfile:
-        profile = self.profile_overlay.get(uid)
-        if profile is None:
-            profile = self.profiles.materialize_profile(uid)
-            self.profile_overlay[uid] = profile
-        return profile
-
-    def promote_circles(self, uid: int) -> CircleStore:
-        store = self.circle_overlay.get(uid)
-        if store is None:
-            store = self.circles.materialize_store(uid, bool(self.exempt[uid]))
-            self.circle_overlay[uid] = store
-            self._member_sets.pop(uid, None)
-        return store
-
-    def promote_followers(self, uid: int) -> dict[int, None]:
-        followers = self.follower_overlay.get(uid)
-        if followers is None:
-            followers = dict.fromkeys(self.circles.in_slice(uid).tolist())
-            self.follower_overlay[uid] = followers
-        return followers
-
-    def promote_notifications(self, uid: int) -> list[Notification]:
-        notes = self.notification_overlay.get(uid)
-        if notes is None:
-            notes = [
-                Notification(kind="added_to_circle", actor_id=actor)
-                for actor in self.circles.in_slice(uid).tolist()
-            ]
-            self.notification_overlay[uid] = notes
-        return notes
-
-    def member_set(self, uid: int) -> frozenset:
-        cached = self._member_sets.get(uid)
-        if cached is None:
-            if len(self._member_sets) >= _MEMBER_SET_CACHE:
-                self._member_sets.clear()
-            cached = frozenset(self.circles.out_slice(uid).tolist())
-            self._member_sets[uid] = cached
-        return cached
-
-
-class ColumnarAccounts(Mapping):
-    """The service's ``_accounts`` mapping over a columnar world.
-
-    Base users resolve to transient :class:`_LazyAccount` views; users
-    registered after the bulk ingest live in an ordinary dict overlay.
-    """
-
-    def __init__(self, world: _ColumnarWorld):
-        self._world = world
-        self._new: dict[int, _Account] = {}
-
-    def __getitem__(self, uid: int) -> Any:
-        if 0 <= uid < self._world.n:
-            return _LazyAccount(self._world, uid)
-        try:
-            return self._new[uid]
-        except KeyError:
-            raise KeyError(uid) from None
-
-    def __setitem__(self, uid: int, account: _Account) -> None:
-        if 0 <= uid < self._world.n:
-            raise ValueError(f"user {uid} is part of the columnar base world")
-        self._new[uid] = account
-
-    def __contains__(self, uid: object) -> bool:
-        return (
-            isinstance(uid, (int, np.integer))
-            and (0 <= uid < self._world.n or uid in self._new)
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        yield from range(self._world.n)
-        yield from self._new
-
-    def __len__(self) -> int:
-        return self._world.n + len(self._new)
-
-    def keys(self):
-        return iter(self)
-
-
-class ProfilesView(Mapping):
-    """Read-only ``{user_id: profile}`` mapping over a columnar service —
-    what :attr:`repro.synth.world.SyntheticWorld.profiles` holds when the
-    world is built on the columnar store (no object per user)."""
-
-    def __init__(self, service: "ColumnarGooglePlusService"):
-        self._service = service
-
-    def __getitem__(self, uid: int):
-        if uid not in self._service:
-            raise KeyError(uid)
-        return self._service.profile(uid)
-
-    def __iter__(self):
-        return self._service.user_ids()
-
-    def __len__(self) -> int:
-        return len(self._service)
-
-
-# ---------------------------------------------------------------------------
-# the service
-# ---------------------------------------------------------------------------
-
-
-class ColumnarGooglePlusService(GooglePlusService):
-    """:class:`GooglePlusService` backed by struct-of-arrays storage.
-
-    Construct empty, then :meth:`ingest_world` exactly once with the
-    bulk-generated columns; scalar mutations afterwards promote the
-    touched component per account.  All inherited methods work through
-    the account views; the hot read paths (``followers``,
-    ``followees``, ``circle_lists``) are overridden to read the CSR
-    slices directly and, for the display-truncated page lists, to
-    materialise only the displayed prefix.
-    """
-
-    def __init__(
-        self,
-        open_signup: bool = False,
-        circle_display_limit: int = CIRCLE_DISPLAY_LIMIT,
-    ):
-        super().__init__(
-            open_signup=open_signup, circle_display_limit=circle_display_limit
-        )
-        empty = _ColumnarWorld(
-            ColumnarProfileStore(
-                n=0,
-                columns={},
-                lists_public=np.zeros(0, dtype=bool),
-            ),
-            ColumnarCircles.empty(0),
-            np.zeros(0, dtype=bool),
-        )
-        self._world = empty
-        self._accounts = ColumnarAccounts(empty)
-
-    @property
-    def backend(self) -> str:
-        return "columnar"
-
-    # -- bulk ingest ---------------------------------------------------------
-
-    def ingest_world(
-        self,
-        profiles: ColumnarProfileStore,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        circle_labels: tuple[str, ...],
-        label_codes: np.ndarray,
-        exempt_ids=(),
-    ) -> int:
-        """Adopt a bulk-generated world: profile columns plus the edge
-        batch, equivalent to registering every profile and then calling
-        ``add_to_circle`` per edge in order.  Returns the link count.
-        """
-        if len(self._accounts):
-            raise ValueError("ingest_world must run on an empty service")
-        n = profiles.n
-        exempt = np.zeros(n, dtype=bool)
-        ids = [int(u) for u in exempt_ids if 0 <= int(u) < n]
-        if ids:
-            exempt[ids] = True
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(targets, dtype=np.int64)
-        if len(src):
-            lo = min(int(src.min()), int(dst.min()))
-            hi = max(int(src.max()), int(dst.max()))
-            if lo < 0 or hi >= n:
-                raise UnknownUserError(lo if lo < 0 else hi)
-            if bool((src == dst).any()):
-                raise ValueError(
-                    "users cannot add themselves to their own circles"
-                )
-        circles = ColumnarCircles.build(
-            n, src, dst, label_codes, circle_labels, exempt
-        )
-        world = _ColumnarWorld(profiles, circles, exempt)
-        self._world = world
-        self._accounts = ColumnarAccounts(world)
-        if len(src):
-            self._notify("bulk_edges", -1)
-        return int(len(circles.in_sources))
-
-    def columns(self) -> _ColumnarWorld:
-        """The backing columnar world (benchmarks, spill, inspection)."""
-        return self._world
-
-    # -- hot read paths ------------------------------------------------------
-
-    def _base_reads(self, uid: int) -> bool:
-        """Whether a base user's reads may go straight to the columns."""
-        world = self._world
-        return 0 <= uid < world.n
-
-    def followers(self, user_id: int) -> list[int]:
-        world = self._world
-        if self._base_reads(user_id) and user_id not in world.follower_overlay:
-            return world.circles.in_slice(user_id).tolist()
-        return super().followers(user_id)
-
-    def followees(self, user_id: int) -> list[int]:
-        world = self._world
-        if self._base_reads(user_id) and user_id not in world.circle_overlay:
-            return world.circles.out_slice(user_id).tolist()
-        return super().followees(user_id)
-
-    def circle_lists(self, user_id: int) -> tuple[CircleListView, CircleListView]:
-        world = self._world
-        if not self._base_reads(user_id):
-            return super().circle_lists(user_id)
-        # Materialise only the displayed prefix of a CSR row; its degree
-        # is the true count the paper's lost-edge estimate reads, without
-        # building a million-entry list.
-        csr, limit = world.circles, self.circle_display_limit
-        if user_id in world.follower_overlay:
-            in_list = truncate_list(self.followers(user_id), limit)
-        else:
-            in_ids = csr.in_slice(user_id)[:limit].tolist()
-            in_list = CircleListView(tuple(in_ids), csr.in_degree(user_id))
-        if user_id in world.circle_overlay:
-            out_list = truncate_list(self.followees(user_id), limit)
-        else:
-            out_ids = csr.out_slice(user_id)[:limit].tolist()
-            out_list = CircleListView(tuple(out_ids), csr.out_degree(user_id))
-        return in_list, out_list

@@ -43,6 +43,24 @@ RETRYABLE_STATUSES = frozenset(
 )
 
 
+def profile_path_user_id(path: str) -> int | None:
+    """The user id of a canonical ``/u/<id>`` path, else ``None``.
+
+    Canonical ids are ASCII digits with no leading zero (``"0"`` itself
+    is allowed), so each user has exactly one page path.  ``int()``
+    alone would also accept signs, spaces, underscores and non-ASCII
+    digits, letting ``/u/+10`` or ``/u/010`` alias user 10's page.
+    """
+    if not path.startswith("/u/"):
+        return None
+    digits = path[3:]
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if digits[0] == "0" and digits != "0":
+        return None
+    return int(digits)
+
+
 @dataclass(frozen=True)
 class Request:
     """One client request: a path such as ``/u/123`` from a client IP.

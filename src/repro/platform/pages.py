@@ -67,18 +67,17 @@ def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:
     Fields keep the profile's insertion order: the crawl store writes
     parsed profiles without sorting their keys.
     """
-    profile = service.profile(owner_id)
     fields = {
         key: entry.value
-        for key, entry in profile.fields.items()
+        for key, entry in service.field_entries(owner_id)
         if visible_to(entry.privacy, class_key)
     }
     in_list = out_list = None
-    if profile.lists_public or class_key == SELF_CLASS:
+    if class_key == SELF_CLASS or service.lists_public(owner_id):
         in_list, out_list = service.circle_lists(owner_id)
     return ProfilePage(
         user_id=owner_id,
-        name=profile.name,
+        name=service.name(owner_id),
         fields=fields,
         in_list=in_list,
         out_list=out_list,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable
 
 
 class Visibility(enum.Enum):
@@ -97,14 +97,14 @@ def visible_to(privacy: FieldPrivacy, class_key: tuple) -> bool:
     return _MEMBER_SEES[privacy.visibility](privacy, class_key)
 
 
-def member_needs(fields: Mapping) -> tuple[bool, tuple[str, ...]]:
-    """What the member classes of an owner with these profile fields
-    must record: whether any field is EXTENDED_CIRCLES (else the
-    extended bit is never read), and the sorted names of the circles
-    CUSTOM fields reference."""
+def member_needs(entries: Iterable) -> tuple[bool, tuple[str, ...]]:
+    """What the member classes of an owner with these ``(key,
+    FieldValue)`` profile entries must record: whether any field is
+    EXTENDED_CIRCLES (else the extended bit is never read), and the
+    sorted names of the circles CUSTOM fields reference."""
     has_extended = False
     custom_names: set[str] = set()
-    for _, entry in fields.items():  # the columnar view's fast path
+    for _, entry in entries:
         privacy = entry.privacy
         if privacy.visibility is Visibility.EXTENDED_CIRCLES:
             has_extended = True

@@ -11,28 +11,32 @@ platform description of Section 2.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gcpause import gc_paused
-from .circles import (
-    CIRCLE_DISPLAY_LIMIT,
-    CircleStore,
-    DEFAULT_CIRCLE,
-    OUT_CIRCLE_LIMIT,
-)
+from .circles import CIRCLE_DISPLAY_LIMIT, CircleStore, DEFAULT_CIRCLE
+from .columnar import ColumnarCircles, ColumnarProfileStore
 from .errors import (
     AlreadyRegisteredError,
-    CircleLimitError,
     SignupClosedError,
     UnknownUserError,
 )
-from .http import STATUS_NOT_FOUND, STATUS_OK
-from .models import UserProfile
+from .http import STATUS_NOT_FOUND, STATUS_OK, profile_path_user_id
+from .models import FieldValue, UserProfile
 from .pages import CircleListView, ProfilePage, render_for_class, truncate_list
 from .privacy import ANON_CLASS, FieldPrivacy, SELF_CLASS, member_needs, visible_to
+
+#: Bound on the cache of base users' contact sets behind ``in_circles``;
+#: one entry costs O(out-degree), so the cache stays far below the
+#: world size.
+_MEMBER_SET_CACHE = 16_384
+
+
+def _row_list(row: np.ndarray, limit: int) -> CircleListView:
+    """A CSR row as a displayed circle list: prefix plus true count."""
+    return CircleListView(tuple(row[:limit].tolist()), len(row))
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class MutationEvent:
     """One state change a subscriber (e.g. a page cache) must react to.
 
     Kinds: ``circle_add`` / ``circle_remove`` (``user_id`` acts on
-    ``target_id``), ``bulk_edges`` (a batch ingest; ids unenumerated),
+    ``target_id``), ``bulk_edges`` (the world ingest; ids unenumerated),
     ``profile`` (a field or lists_public change on ``user_id``),
     ``post`` (``user_id`` published) and ``plus_one`` (``target_id`` is
     the post id).
@@ -80,23 +84,21 @@ class Post:
     reshared_from: int | None = None
 
 
-@dataclass
-class _Account:
-    """Internal per-user record: profile, circles, and follower index."""
-
-    profile: UserProfile
-    circles: CircleStore
-    followers: dict[int, None] = field(default_factory=dict)
-    notifications: list[Notification] = field(default_factory=list)
-
-
 class GooglePlusService:
-    """In-process simulation of the Google+ social networking service."""
+    """In-process simulation of the Google+ social networking service.
 
-    #: Which backing store implements the service state; the columnar
-    #: subclass overrides this (``WorldConfig.store`` selects between
-    #: them — see docs/storage.md).
-    backend = "dict"
+    State has two layers.  The ingested base world (users ``0..n-1``)
+    lives in columns: profiles in a
+    :class:`~repro.platform.columnar.ColumnarProfileStore`, circles and
+    followers in a :class:`~repro.platform.columnar.ColumnarCircles`
+    CSR; neither is written after :meth:`ingest_world`.  Every write
+    lands in a per-user copy-on-write overlay — a :class:`UserProfile`,
+    a :class:`CircleStore`, a follower dict or a notification list —
+    materialised from the base row on the user's first write of that
+    kind.  Users registered outside the ingest exist only in the
+    overlays, so an empty service plus :meth:`register` calls builds a
+    hand-made world.  Reads check the overlay, then the columns.
+    """
 
     def __init__(
         self,
@@ -105,7 +107,6 @@ class GooglePlusService:
     ):
         if circle_display_limit < 1:
             raise ValueError("circle display limit must be positive")
-        self._accounts: dict[int, _Account] = {}
         self._posts: dict[int, Post] = {}
         self._next_post_id = 1
         self.open_signup = open_signup
@@ -113,6 +114,21 @@ class GooglePlusService:
         #: Mutation subscribers; empty for every non-serving workload, so
         #: the guard in :meth:`_notify` keeps the hot paths free.
         self._mutation_listeners: list = []
+        #: The base world: profile columns, circle CSR, the circle-cap
+        #: whitelist, and its user count.
+        self.base_profiles = ColumnarProfileStore.empty()
+        self.base_circles = ColumnarCircles.empty(0)
+        self._exempt = np.zeros(0, dtype=bool)
+        self._n = 0
+        #: Copy-on-write overlays, keyed by user id.
+        self._profiles: dict[int, UserProfile] = {}
+        self._circles: dict[int, CircleStore] = {}
+        self._followers: dict[int, dict[int, None]] = {}
+        self._notes: dict[int, list[Notification]] = {}
+        #: Users registered outside the ingest, in signup order.
+        self._joined: list[int] = []
+        #: Bounded cache of base users' contact sets for ``in_circles``.
+        self._member_sets: dict[int, frozenset] = {}
 
     # -- mutation events -----------------------------------------------------
 
@@ -140,85 +156,143 @@ class GooglePlusService:
         is already a member is required, mirroring the invitation-viral
         growth phase described in Section 2.1.
         """
-        if profile.user_id in self._accounts:
-            raise AlreadyRegisteredError(profile.user_id)
+        user_id = profile.user_id
+        if user_id in self:
+            raise AlreadyRegisteredError(user_id)
         if not self.open_signup:
             if invited_by is None:
                 raise SignupClosedError(
                     "signups are invitation-only during the field trial"
                 )
-            if invited_by not in self._accounts:
+            if invited_by not in self:
                 raise UnknownUserError(invited_by)
-        store = CircleStore(profile.user_id, exempt_from_limit=exempt_from_circle_limit)
+        store = CircleStore(user_id, exempt_from_limit=exempt_from_circle_limit)
         store.create_circle(DEFAULT_CIRCLE)
-        self._accounts[profile.user_id] = _Account(profile=profile, circles=store)
+        self._profiles[user_id] = profile
+        self._circles[user_id] = store
+        self._followers[user_id] = {}
+        self._notes[user_id] = []
+        self._joined.append(user_id)
 
-    def register_bulk(
+    def ingest_world(
         self,
-        profiles,
+        profiles: ColumnarProfileStore,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        circle_labels: tuple[str, ...],
+        label_codes: np.ndarray,
         exempt_ids=(),
-        invited_by=None,
     ) -> int:
-        """Create many accounts in one call; returns how many were created.
+        """Adopt a bulk-generated base world: profile columns for users
+        ``0..n-1`` plus the edge batch (``sources[i]`` puts
+        ``targets[i]`` in circle ``circle_labels[label_codes[i]]``).
 
-        State-identical to calling :meth:`register` once per profile in
-        order: same accounts, same iteration order, same errors at the
-        same profile. ``exempt_ids`` is the set of user ids whitelisted
-        past the out-circle cap (ids not in ``profiles`` are ignored);
-        ``invited_by`` aligns with ``profiles`` and is required, as in
-        the scalar path, while signup is invitation-only. The batch form
-        hoists the signup-phase branching out of the per-account work
-        and builds each account's stores directly.
+        The result equals registering every profile and then calling
+        :meth:`add_to_circle` once per edge in order.  ``exempt_ids``
+        are whitelisted past the out-circle cap.  Runs once, on an empty
+        service; returns the link count.
         """
-        accounts = self._accounts
-        exempt = frozenset(int(u) for u in exempt_ids)
-        open_signup = self.open_signup
-        inviters = repeat(None) if invited_by is None else invited_by
-        created = 0
-        with gc_paused():
-            for profile, inviter in zip(profiles, inviters):
-                user_id = profile.user_id
-                if user_id in accounts:
-                    raise AlreadyRegisteredError(user_id)
-                if not open_signup:
-                    if inviter is None:
-                        raise SignupClosedError(
-                            "signups are invitation-only during the field trial"
-                        )
-                    if inviter not in accounts:
-                        raise UnknownUserError(inviter)
-                accounts[user_id] = _Account(
-                    profile=profile,
-                    circles=CircleStore(
-                        user_id,
-                        exempt_from_limit=user_id in exempt,
-                        members_by_circle={DEFAULT_CIRCLE: {}},
-                    ),
-                )
-                created += 1
-        return created
+        if len(self):
+            raise ValueError("ingest_world must run on an empty service")
+        n = profiles.n
+        exempt = np.zeros(n, dtype=bool)
+        ids = [int(u) for u in exempt_ids if 0 <= int(u) < n]
+        if ids:
+            exempt[ids] = True
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        if len(src):
+            lo = min(int(src.min()), int(dst.min()))
+            hi = max(int(src.max()), int(dst.max()))
+            if lo < 0 or hi >= n:
+                raise UnknownUserError(lo if lo < 0 else hi)
+            if bool((src == dst).any()):
+                raise ValueError("users cannot add themselves to their own circles")
+        self.base_circles = ColumnarCircles.build(
+            n, src, dst, label_codes, circle_labels, exempt
+        )
+        self.base_profiles = profiles
+        self._exempt = exempt
+        self._n = n
+        if len(src):
+            self._notify("bulk_edges", -1)
+        return int(len(self.base_circles.in_sources))
 
     def enable_open_signup(self) -> None:
         """End the field trial: anyone may sign up (September 20th, 2011)."""
         self.open_signup = True
 
-    def __contains__(self, user_id: int) -> bool:
-        return user_id in self._accounts
+    def __contains__(self, user_id: object) -> bool:
+        return isinstance(user_id, (int, np.integer)) and (
+            0 <= user_id < self._n or user_id in self._profiles
+        )
 
     def __len__(self) -> int:
-        return len(self._accounts)
+        return self._n + len(self._joined)
 
     def user_ids(self) -> Iterator[int]:
-        return iter(self._accounts)
+        return chain(range(self._n), self._joined)
+
+    def _base(self, user_id: int) -> int:
+        """``user_id`` as a base-world row; only users without an overlay
+        of the kind being read reach here."""
+        if 0 <= user_id < self._n:
+            return user_id
+        raise UnknownUserError(user_id)
+
+    def _require(self, user_id: int) -> None:
+        if user_id not in self:
+            raise UnknownUserError(user_id)
+
+    def _own(self, overlay: dict, user_id: int, materialize):
+        """The user's overlay entry, copied from the base row on first use."""
+        item = overlay.get(user_id)
+        if item is None:
+            item = overlay[user_id] = materialize(self._base(user_id))
+        return item
+
+    def _base_store(self, user_id: int) -> CircleStore:
+        return self.base_circles.materialize_store(user_id, bool(self._exempt[user_id]))
+
+    def _base_followers(self, user_id: int) -> dict[int, None]:
+        return dict.fromkeys(self.base_circles.in_slice(user_id).tolist())
+
+    def _base_notes(self, user_id: int) -> list[Notification]:
+        """The base feed: one ``added_to_circle`` per incoming link."""
+        return [
+            Notification(kind="added_to_circle", actor_id=actor)
+            for actor in self.base_circles.in_slice(user_id).tolist()
+        ]
+
+    # -- profile reads -------------------------------------------------------
 
     def profile(self, user_id: int) -> UserProfile:
-        return self._account(user_id).profile
+        """The user's profile: the live object for a user with a profile
+        overlay, else a fresh snapshot of the base columns."""
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile
+        return self.base_profiles.materialize_profile(self._base(user_id))
 
-    def _account(self, user_id: int) -> _Account:
-        try:
-            return self._accounts[user_id]
-        except KeyError:
-            raise UnknownUserError(user_id) from None
+    def name(self, user_id: int) -> str:
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile.name
+        return self.base_profiles.name_of(self._base(user_id))
+
+    def lists_public(self, user_id: int) -> bool:
+        """Whether the user shows their circle lists on the profile page."""
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile.lists_public
+        return bool(self.base_profiles.lists_public[self._base(user_id)])
+
+    def field_entries(self, user_id: int) -> Iterable[tuple[str, FieldValue]]:
+        """The user's ``(key, FieldValue)`` pairs in insertion order."""
+        profile = self._profiles.get(user_id)
+        if profile is not None:
+            return profile.fields.items()
+        return self.base_profiles.iter_entries(self._base(user_id))
 
     # -- circles / social links --------------------------------------------
 
@@ -229,14 +303,14 @@ class GooglePlusService:
 
         Returns True when a new directed social link was created.
         """
-        account = self._account(user_id)
-        target = self._account(target_id)
-        is_new_link = account.circles.add(target_id, circle)
+        circles = self._own(self._circles, user_id, self._base_store)
+        self._require(target_id)
+        is_new_link = circles.add(target_id, circle)
         if is_new_link:
-            target.followers[user_id] = None
+            self._own(self._followers, target_id, self._base_followers)[user_id] = None
             # Section 2.1: the added user is notified (circle name stays
             # private — only the fact of the add is revealed).
-            target.notifications.append(
+            self._own(self._notes, target_id, self._base_notes).append(
                 Notification(kind="added_to_circle", actor_id=user_id)
             )
         # Even a non-link add (an existing contact joining another circle)
@@ -244,285 +318,94 @@ class GooglePlusService:
         self._notify("circle_add", user_id, target_id)
         return is_new_link
 
-    def add_edges_bulk(
-        self,
-        sources,
-        targets,
-        circles=None,
-        *,
-        circle_index=None,
-    ) -> int:
-        """Plant many directed links in one call; returns new-link count.
-
-        On success the service state is identical to calling
-        :meth:`add_to_circle` once per ``(sources[i], targets[i],
-        circles[i])`` in order — including every insertion order the
-        crawl depends on: each owner's circle membership and flattened
-        contact list, each target's follower list, and the notification
-        feeds. Instead of 2N dict lookups per edge, the batch is sorted
-        once per side and each account's dicts are built with
-        ``dict.fromkeys`` over contiguous, originally-ordered slices.
-
-        ``circles`` may be a sequence of circle names (one per edge) or
-        ``None`` for :data:`DEFAULT_CIRCLE` throughout; alternatively
-        ``circle_index=(labels, index_array)`` names each edge's circle
-        as ``labels[index_array[i]]`` without materializing a per-edge
-        string list. Validation is batched: unknown users and self-edges
-        fail up front with nothing mutated, and the out-circle cap is
-        checked per owner before that owner's circles are touched (the
-        scalar path raises at the exact offending edge instead; a batch
-        that succeeds is unaffected).
-        """
-        # The ingest allocates millions of dict entries in one burst;
-        # pausing cyclic GC for the duration avoids repeated whole-heap
-        # collections triggered by allocation thresholds.
-        with gc_paused():
-            created = self._add_edges_bulk(sources, targets, circles, circle_index)
-        if created:
-            self._notify("bulk_edges", -1)
-        return created
-
-    def _add_edges_bulk(self, sources, targets, circles, circle_index) -> int:
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(targets, dtype=np.int64)
-        if src.ndim != 1 or dst.shape != src.shape:
-            raise ValueError("sources and targets must have equal length")
-        m = len(src)
-        if circles is not None and circle_index is not None:
-            raise ValueError("pass either circles or circle_index, not both")
-        if circles is not None and len(circles) != m:
-            raise ValueError("circles must have one entry per edge")
-        if m == 0:
-            return 0
-        accounts = self._accounts
-        ids = np.concatenate((src, dst))
-        top = max(accounts) if accounts else -1
-        lo, hi = int(ids.min()), int(ids.max())
-        if lo < 0 or hi > top:
-            raise UnknownUserError(lo if lo < 0 else hi)
-        known = np.zeros(top + 1, dtype=bool)
-        known[np.fromiter(accounts.keys(), dtype=np.int64, count=len(accounts))] = True
-        missing = np.flatnonzero(~known[ids])
-        if len(missing):
-            raise UnknownUserError(int(ids[missing[0]]))
-        if bool((src == dst).any()):
-            raise ValueError("users cannot add themselves to their own circles")
-        if circle_index is not None:
-            label_seq, index_arr = circle_index
-            labels = [str(name) for name in label_seq]
-            cidx = np.asarray(index_arr, dtype=np.int64)
-            if cidx.shape != src.shape:
-                raise ValueError("circle_index array must have one entry per edge")
-            if len(cidx) and (
-                int(cidx.min()) < 0 or int(cidx.max()) >= len(labels)
-            ):
-                raise ValueError("circle_index entries out of label range")
-        elif circles is None:
-            labels = [DEFAULT_CIRCLE]
-            cidx = np.zeros(m, dtype=np.int64)
-        else:
-            labels = list(dict.fromkeys(circles))
-            label_index = {name: i for i, name in enumerate(labels)}
-            cidx = np.fromiter(
-                map(label_index.__getitem__, circles), dtype=np.int64, count=m
-            )
-        n_labels = len(labels)
-        if top * n_labels + n_labels < 2**31:
-            # User ids (and the owner*n_labels+circle group keys) fit in
-            # int32: the stable radix argsorts below run half the passes.
-            src = src.astype(np.int32)
-            dst = dst.astype(np.int32)
-            cidx = cidx.astype(np.int32)
-
-        # Owner side. Two stable sorts: by owner (original edge order per
-        # owner → all_members / new-link flags) and by (owner, circle)
-        # (contiguous per-circle member slices, original order within).
-        # Everything sliced inside the loop is converted to plain lists
-        # up front — list slicing is far cheaper than per-slice tolist().
-        order_src = np.argsort(src, kind="stable")
-        s_by_src = src[order_src]
-        d_by_src = dst[order_src].tolist()
-        obounds = np.flatnonzero(np.diff(s_by_src)) + 1
-        ostarts = np.concatenate(([0], obounds)).tolist()
-        ostops = np.concatenate((obounds, [m])).tolist()
-        owners = s_by_src[np.concatenate(([0], obounds))].tolist()
-
-        if n_labels == 1:
-            order_grp, key_sorted = order_src, s_by_src
-        else:
-            group_key = src * n_labels + cidx
-            order_grp = np.argsort(group_key, kind="stable")
-            key_sorted = group_key[order_grp]
-        d_by_grp = dst[order_grp].tolist()
-        gbounds = np.flatnonzero(np.diff(key_sorted)) + 1
-        gstart_arr = np.concatenate(([0], gbounds))
-        gstarts = gstart_arr.tolist()
-        gstops = np.concatenate((gbounds, [m])).tolist()
-        gowners = (key_sorted[gstart_arr] // n_labels).tolist()
-        glabels = (key_sorted[gstart_arr] % n_labels).tolist()
-        #: original index of each group's first edge — per owner, groups
-        #: sorted by this value are in first-occurrence label order.
-        gfirst = order_grp[gstart_arr].tolist()
-
-        #: new-link flag per edge, in owner-sorted order.
-        new_by_src = np.ones(m, dtype=bool)
-        limit = OUT_CIRCLE_LIMIT
-        n_groups = len(gowners)
-        gp = 0  # group cursor: groups are sorted by owner, like owners
-        fromkeys = dict.fromkeys
-        for seg, owner in enumerate(owners):
-            a, b = ostarts[seg], ostops[seg]
-            store = accounts[owner].circles
-            all_members = store.all_members
-            members_seg = d_by_src[a:b]
-            distinct = fromkeys(members_seg)
-            if not all_members and b - a <= limit:
-                # Fresh store, segment within the cap: no violation is
-                # possible, exempt or not — the hot path for world gen.
-                if len(distinct) != b - a:
-                    # Duplicate (u, v) pairs inside the batch: only the
-                    # first occurrence forms the link.
-                    local: set[int] = set()
-                    for pos, v in enumerate(members_seg, start=a):
-                        if v in local:
-                            new_by_src[pos] = False
-                        else:
-                            local.add(v)
-                store.all_members = distinct
-            elif all_members:
-                fresh = [v for v in distinct if v not in all_members]
-                if (
-                    not store.exempt_from_limit
-                    and len(all_members) + len(fresh) > OUT_CIRCLE_LIMIT
-                ):
-                    raise CircleLimitError(owner, OUT_CIRCLE_LIMIT)
-                for pos, v in enumerate(members_seg, start=a):
-                    if v in all_members:
-                        new_by_src[pos] = False
-                    else:
-                        all_members[v] = None
-            else:
-                if (
-                    not store.exempt_from_limit
-                    and len(distinct) > OUT_CIRCLE_LIMIT
-                ):
-                    raise CircleLimitError(owner, OUT_CIRCLE_LIMIT)
-                if len(distinct) != len(members_seg):
-                    local2: set[int] = set()
-                    for pos, v in enumerate(members_seg, start=a):
-                        if v in local2:
-                            new_by_src[pos] = False
-                        else:
-                            local2.add(v)
-                store.all_members = distinct
-
-            # Circle sub-dicts for this owner: its groups are contiguous
-            # at the cursor. Visiting them by their first edge's original
-            # position yields first-occurrence label order, so circles are
-            # created exactly when the per-edge path would have created
-            # them (order across owners is free).
-            g0 = gp
-            while gp < n_groups and gowners[gp] == owner:
-                gp += 1
-            by_circle = store.members_by_circle
-            span = (
-                range(g0, gp)
-                if gp - g0 == 1
-                else sorted(range(g0, gp), key=gfirst.__getitem__)
-            )
-            for g in span:
-                name = labels[glabels[g]]
-                chunk = fromkeys(d_by_grp[gstarts[g]:gstops[g]])
-                existing = by_circle.get(name)
-                if existing:
-                    existing.update(chunk)
-                else:
-                    by_circle[name] = chunk
-
-        # Target side: follower lists and notifications, for new links
-        # only, in original edge order per target.
-        new_links = int(new_by_src.sum())
-        if new_links:
-            if new_links == m:
-                sub_src, sub_dst = src, dst
-            else:
-                new_orig = np.empty(m, dtype=bool)
-                new_orig[order_src] = new_by_src
-                sel = np.flatnonzero(new_orig)
-                sub_src, sub_dst = src[sel], dst[sel]
-            order_t = np.argsort(sub_dst, kind="stable")
-            t_sorted = sub_dst[order_t]
-            actor_list = sub_src[order_t].tolist()
-            tbounds = np.flatnonzero(np.diff(t_sorted)) + 1
-            tstart_arr = np.concatenate(([0], tbounds))
-            tstarts = tstart_arr.tolist()
-            tstops = np.concatenate((tbounds, [new_links])).tolist()
-            tids = t_sorted[tstart_arr].tolist()
-            # One cached Notification per actor: the dataclass is frozen
-            # and compares by value, so sharing instances is identical to
-            # constructing one per link. Every linking actor is an owner.
-            note_of = {
-                u: Notification(kind="added_to_circle", actor_id=u)
-                for u in owners
-            }
-            notes_all = list(map(note_of.__getitem__, actor_list))
-            for t, a, b in zip(tids, tstarts, tstops):
-                account = accounts[t]
-                chunk = dict.fromkeys(actor_list[a:b])
-                if account.followers:
-                    account.followers.update(chunk)
-                else:
-                    account.followers = chunk
-                account.notifications.extend(notes_all[a:b])
-        return new_links
-
     def remove_from_circle(
         self, user_id: int, target_id: int, circle: str | None = None
     ) -> bool:
         """Remove a contact from one circle (or all). True if the link died."""
-        account = self._account(user_id)
-        link_removed = account.circles.remove(target_id, circle)
+        circles = self._own(self._circles, user_id, self._base_store)
+        link_removed = circles.remove(target_id, circle)
         if link_removed:
-            self._account(target_id).followers.pop(user_id, None)
+            self._own(self._followers, target_id, self._base_followers).pop(user_id, None)
         self._notify("circle_remove", user_id, target_id)
         return link_removed
 
     def followees(self, user_id: int) -> list[int]:
         """Users ``user_id`` has in circles ("In user's circles")."""
-        return self._account(user_id).circles.flattened()
+        circles = self._circles.get(user_id)
+        if circles is not None:
+            return circles.flattened()
+        return self.base_circles.out_slice(self._base(user_id)).tolist()
 
     def followers(self, user_id: int) -> list[int]:
         """Users that have ``user_id`` in circles ("Have user in circles")."""
-        return list(self._account(user_id).followers)
+        followers = self._followers.get(user_id)
+        if followers is not None:
+            return list(followers)
+        return self.base_circles.in_slice(self._base(user_id)).tolist()
 
     def out_degree(self, user_id: int) -> int:
-        return self._account(user_id).circles.out_degree()
+        circles = self._circles.get(user_id)
+        if circles is not None:
+            return circles.out_degree()
+        return self.base_circles.out_degree(self._base(user_id))
 
     def in_degree(self, user_id: int) -> int:
-        return len(self._account(user_id).followers)
+        followers = self._followers.get(user_id)
+        if followers is not None:
+            return len(followers)
+        return self.base_circles.in_degree(self._base(user_id))
+
+    def exempt_from_circle_limit(self, user_id: int) -> bool:
+        """Whether the user is whitelisted past the out-circle cap."""
+        circles = self._circles.get(user_id)
+        if circles is not None:
+            return circles.exempt_from_limit
+        return bool(self._exempt[self._base(user_id)])
 
     def in_circles(self, owner_id: int, viewer_id: int) -> bool:
-        """Whether the owner has the viewer in any circle (O(1))."""
-        return self._account(owner_id).circles.contains(viewer_id)
+        """Whether the owner has the viewer in any circle."""
+        circles = self._circles.get(owner_id)
+        if circles is not None:
+            return circles.contains(viewer_id)
+        owner_id = self._base(owner_id)
+        members = self._member_sets.get(owner_id)
+        if members is None:
+            if len(self._member_sets) >= _MEMBER_SET_CACHE:
+                self._member_sets.clear()
+            members = frozenset(self.base_circles.out_slice(owner_id).tolist())
+            self._member_sets[owner_id] = members
+        return viewer_id in members
+
+    def member_of(self, owner_id: int, target_id: int, circle: str) -> bool:
+        """Whether the owner's circle named ``circle`` holds the target
+        (an unknown circle holds nobody)."""
+        circles = self._circles.get(owner_id)
+        if circles is not None:
+            return circles.member_of(target_id, circle)
+        return self.base_circles.has_member(self._base(owner_id), target_id, circle)
+
+    def circle_names(self, user_id: int) -> list[str]:
+        """The owner's circle names, in creation order."""
+        circles = self._circles.get(user_id)
+        if circles is not None:
+            return circles.circle_names()
+        return self.base_circles.circle_names(self._base(user_id))
 
     def in_extended_circles(self, owner_id: int, viewer_id: int) -> bool:
         """Whether the viewer is in the owner's circles, or in the
         circles of any of the owner's contacts (the EXTENDED_CIRCLES
         reach; O(owner's out-degree))."""
-        owner = self._account(owner_id)
-        if owner.circles.contains(viewer_id):
+        if self.in_circles(owner_id, viewer_id):
             return True
         return any(
-            self._account(contact).circles.contains(viewer_id)
-            for contact in owner.circles.flattened()
+            self.in_circles(contact, viewer_id) for contact in self.followees(owner_id)
         )
 
     def circles_containing(self, owner_id, viewer_id, names) -> tuple[str, ...]:
         """Which of the owner's named circles hold the viewer, in the
         order ``names`` lists them (for CUSTOM privacy classing)."""
-        circles = self._account(owner_id).circles
         return tuple(
-            name for name in names if circles.member_of(viewer_id, name)
+            name for name in names if self.member_of(owner_id, viewer_id, name)
         )
 
     # -- profile mutation ----------------------------------------------------
@@ -541,7 +424,7 @@ class GooglePlusService:
         ``profile`` :class:`MutationEvent` so caches drop the owner's
         rendered pages.
         """
-        profile = self._account(user_id).profile
+        profile = self._own(self._profiles, user_id, self.base_profiles.materialize_profile)
         if privacy is None:
             profile.set_field(key, value)
         else:
@@ -550,7 +433,8 @@ class GooglePlusService:
 
     def set_lists_public(self, user_id: int, public: bool) -> None:
         """Toggle the owner's circle-list visibility, notifying subscribers."""
-        self._account(user_id).profile.lists_public = bool(public)
+        profile = self._own(self._profiles, user_id, self.base_profiles.materialize_profile)
+        profile.lists_public = bool(public)
         self._notify("profile", user_id)
 
     # -- privacy-aware profile views ----------------------------------------
@@ -570,7 +454,7 @@ class GooglePlusService:
             return ANON_CLASS
         if viewer_id == owner_id:
             return SELF_CLASS
-        has_extended, custom_names = needs or member_needs(self.profile(owner_id).fields)
+        has_extended, custom_names = needs or member_needs(self.field_entries(owner_id))
         in_circles = self.in_circles(owner_id, viewer_id)
         # Without an EXTENDED_CIRCLES field nothing reads the extended
         # bit, so the two-hop test is skipped and the bit mirrors
@@ -588,19 +472,30 @@ class GooglePlusService:
         """Decide whether ``viewer_id`` (None = anonymous) may see a field."""
         if key == "name":
             return True
-        entry = self.profile(owner_id).fields.get(key)
+        entry = dict(self.field_entries(owner_id)).get(key)
         if entry is None:
             return False
         return visible_to(entry.privacy, self.class_of(owner_id, viewer_id))
 
     def circle_lists(self, user_id: int) -> tuple[CircleListView, CircleListView]:
         """The page's two circle lists, "Have user in circles" and "In
-        user's circles", each truncated at the display limit."""
+        user's circles", each truncated at the display limit.
+
+        A base row materialises only its displayed prefix; its length is
+        the true count the paper's lost-edge estimate reads.
+        """
         limit = self.circle_display_limit
-        return (
-            truncate_list(self.followers(user_id), limit),
-            truncate_list(self.followees(user_id), limit),
-        )
+        followers = self._followers.get(user_id)
+        if followers is not None:
+            in_list = truncate_list(list(followers), limit)
+        else:
+            in_list = _row_list(self.base_circles.in_slice(self._base(user_id)), limit)
+        circles = self._circles.get(user_id)
+        if circles is not None:
+            out_list = truncate_list(circles.flattened(), limit)
+        else:
+            out_list = _row_list(self.base_circles.out_slice(self._base(user_id)), limit)
+        return in_list, out_list
 
     def profile_page(self, user_id: int, viewer_id: int | None = None) -> ProfilePage:
         """Render the profile page as seen by ``viewer_id`` (None = crawler)."""
@@ -616,9 +511,9 @@ class GooglePlusService:
         reshared_from: int | None = None,
     ) -> Post:
         """Publish a post to the author's stream, optionally circle-scoped."""
-        account = self._account(author_id)
+        self._require(author_id)
         if to_circles is not None:
-            unknown = to_circles - set(account.circles.circle_names())
+            unknown = to_circles - set(self.circle_names(author_id))
             if unknown:
                 raise ValueError(f"author has no circles named {sorted(unknown)}")
         if reshared_from is not None and reshared_from not in self._posts:
@@ -637,22 +532,22 @@ class GooglePlusService:
 
     def notifications(self, user_id: int, clear: bool = False) -> list[Notification]:
         """The user's notification feed (optionally consuming it)."""
-        account = self._account(user_id)
-        items = list(account.notifications)
+        notes = self._notes.get(user_id)
+        items = list(notes) if notes is not None else self._base_notes(self._base(user_id))
         if clear:
-            account.notifications.clear()
+            self._notes[user_id] = []
         return items
 
     def plus_one(self, user_id: int, post_id: int) -> None:
         """Record a +1: a public recommendation of a post."""
-        self._account(user_id)
+        self._require(user_id)
         try:
             post = self._posts[post_id]
         except KeyError:
             raise KeyError(f"unknown post id: {post_id}") from None
         if user_id not in post.plus_ones:
             post.plus_ones.add(user_id)
-            self._account(post.author_id).notifications.append(
+            self._own(self._notes, post.author_id, self._base_notes).append(
                 Notification(kind="plus_one", actor_id=user_id, subject_id=post_id)
             )
             self._notify("plus_one", user_id, post_id)
@@ -666,10 +561,8 @@ class GooglePlusService:
             return False
         if viewer_id == post.author_id:
             return True
-        author = self._account(post.author_id)
         return any(
-            author.circles.member_of(viewer_id, name)
-            for name in post.to_circles
+            self.member_of(post.author_id, viewer_id, name) for name in post.to_circles
         )
 
     def stream_for(self, viewer_id: int) -> list[Post]:
@@ -692,12 +585,7 @@ class GooglePlusService:
         default to ``None`` and see exactly the anonymous pages they
         always did.
         """
-        if not path.startswith("/u/"):
-            return STATUS_NOT_FOUND, None
-        try:
-            user_id = int(path[3:])
-        except ValueError:
-            return STATUS_NOT_FOUND, None
-        if user_id not in self._accounts:
+        user_id = profile_path_user_id(path)
+        if user_id is None or user_id not in self:
             return STATUS_NOT_FOUND, None
         return STATUS_OK, self.profile_page(user_id, viewer_id=viewer_id)

@@ -140,8 +140,8 @@ class ViewerClasser:
     def needs(self, owner_id: int) -> tuple[bool, tuple[str, ...]]:
         cached = self._needs.get(owner_id)
         if cached is None:
-            fields = self._service.profile(owner_id).fields
-            cached = self._needs[owner_id] = member_needs(fields)
+            entries = self._service.field_entries(owner_id)
+            cached = self._needs[owner_id] = member_needs(entries)
         return cached
 
     def class_of(self, owner_id: int, viewer_id: int | None) -> tuple:
@@ -379,7 +379,7 @@ class PageCache:
                 # through the displayed lists: owners hiding them keep
                 # every member/anon entry valid — only the self page
                 # (lists always shown to the owner) must go.
-                lists_public = self._service.profile(owner_id).lists_public
+                lists_public = self._service.lists_public(owner_id)
                 self._invalidate_owner(
                     owner_id, reason="circle", self_only=not lists_public
                 )

@@ -39,7 +39,13 @@ import numpy as np
 
 from repro.faults.schedule import rng_from_json, rng_to_json
 from repro.obs.metrics import Registry, get_registry
-from repro.platform.http import STATUS_OK, HttpFrontend, Request, SimulatedClock
+from repro.platform.http import (
+    STATUS_OK,
+    HttpFrontend,
+    Request,
+    SimulatedClock,
+    profile_path_user_id,
+)
 
 from .cache import payload_digest
 
@@ -217,7 +223,7 @@ class ServingStack:
         if self._name_index is None:
             index: dict[str, list[int]] = {}
             for user_id in sorted(self.service.user_ids()):
-                index.setdefault(self.service.profile(user_id).name, []).append(user_id)
+                index.setdefault(self.service.name(user_id), []).append(user_id)
             self._name_index = {name: tuple(ids) for name, ids in index.items()}
         return self._name_index
 
@@ -225,11 +231,8 @@ class ServingStack:
         service = self.service
         self._last_hit = None
         if path.startswith("/u/"):
-            try:
-                owner_id = int(path[3:])
-            except ValueError:
-                return 404, None
-            if owner_id not in service:
+            owner_id = profile_path_user_id(path)
+            if owner_id is None or owner_id not in service:
                 return 404, None
             if self.cache is not None:
                 page, hit = self.cache.lookup(owner_id, viewer_id)
@@ -452,7 +455,7 @@ class LoadGenerator:
         if op == "stream":
             return "/stream"
         if op == "search":
-            name = self.stack.service.profile(self._pick_target(client)).name
+            name = self.stack.service.name(self._pick_target(client))
             return f"/search?q={name}"
         if op == "circle_edit":
             target = self._pick_target(client)

@@ -182,9 +182,9 @@ class CampaignConfig:
     #: World generation engine (``"reference"`` | ``"fast"``) — frozen so
     #: a resumed campaign rebuilds the identical world.
     engine: str = "reference"
-    #: Service backing store (``"dict"`` | ``"columnar"``).  Columnar is
-    #: what lets million-user campaigns fit in RAM (docs/storage.md);
-    #: both stores rebuild state-identical worlds from the same seed.
+    #: ``WorldConfig.store`` label (``"dict"`` | ``"columnar"``), kept so
+    #: saved manifests reopen with an equal config; both values build
+    #: the same world on the one service store (docs/storage.md).
     store: str = "dict"
 
     def to_json_dict(self) -> dict:

@@ -24,8 +24,8 @@ CRC-checked ``RSEG1`` segment format — the exact bytes
 already understand, so spilled edges feed the analysis stack directly.
 
 :func:`spill_service` is the one-call form: it spills a live
-:class:`~repro.platform.columnar.ColumnarGooglePlusService`'s circles
-and swaps the resident arrays for the memory-mapped views in place.
+:class:`~repro.platform.service.GooglePlusService`'s base circles and
+swaps the resident arrays for the memory-mapped views in place.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.platform.columnar import ColumnarCircles, ColumnarGooglePlusService
+from repro.platform.columnar import ColumnarCircles
+from repro.platform.service import GooglePlusService
 
 from .atomio import StoreIO, publish_bytes, publish_text
 from .segments import SegmentError, segment_edge_count, write_segment
@@ -197,18 +198,17 @@ def verify_spill(directory: str | Path) -> list[str]:
 
 
 def spill_service(
-    service: ColumnarGooglePlusService,
+    service: GooglePlusService,
     directory: str | Path,
     io: StoreIO | None = None,
 ) -> Path:
-    """Spill a live columnar service's circles and remap them in place.
+    """Spill a live service's base circles and remap them in place.
 
     After this call the service's circle/follower reads go through
     memory-mapped arrays — the resident CSR is released to the garbage
     collector and the OS pages edge slices in on demand.  Returns the
     manifest path.
     """
-    world = service.columns()
-    manifest = spill_circles(world.circles, directory, io=io)
-    world.circles = load_circles(directory)
+    manifest = spill_circles(service.base_circles, directory, io=io)
+    service.base_circles = load_circles(directory)
     return manifest

@@ -37,7 +37,7 @@ from .demographics import (
     tel_user_weights,
 )
 from .fastgen import generate_graph_fast, IncrementalPools
-from .fastprofiles import build_profiles_fast
+from .fastprofiles import build_profile_columns_fast
 from .graphgen import GeneratedGraph, generate_graph
 from .growth import (
     assign_edge_days,
@@ -71,7 +71,7 @@ __all__ = [
     "build_country_table",
     "build_gazetteer",
     "build_profiles",
-    "build_profiles_fast",
+    "build_profile_columns_fast",
     "build_world",
     "CELEBRITY_OCCUPATIONS",
     "CelebritySpec",

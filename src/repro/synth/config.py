@@ -112,12 +112,10 @@ class WorldConfig:
     #: bit-identical — at a fraction of the time and memory. See
     #: ``docs/synth.md`` for the equivalence contract.
     engine: str = "reference"
-    #: Backing store of the built service. ``"dict"`` is the per-object
-    #: reference store; ``"columnar"`` is the struct-of-arrays store
-    #: (:mod:`repro.platform.columnar`) that holds profiles as interned
-    #: columns and circles as CSR arrays — state-identical behind the
-    #: same service API, and the only store that fits million-user
-    #: worlds in laptop RAM. See ``docs/storage.md``.
+    #: A label, validated but read by nothing: every world is built on
+    #: the one columnar service store (see ``docs/storage.md``).  It
+    #: stays because saved campaign manifests and callers still carry
+    #: ``"dict"`` or ``"columnar"``; both build the same world.
     store: str = "dict"
 
     def __post_init__(self) -> None:

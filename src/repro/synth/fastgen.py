@@ -322,6 +322,9 @@ def _generate_graph_fast(
         shares = np.array([population.countries[c].gplus_share for c in codes])
         share_cum = np.cumsum(shares / shares.sum())
         us_i = code_index.get("US", 0)
+        #: Small worlds leave some countries without residents; a stub
+        #: drawn to one of those falls back to its own country's pool.
+        populated = np.bincount(country_idx, minlength=n_countries) > 0
 
         # Pool layers. City pools are keyed ci * stride + city so both
         # layers live in one IncrementalPools each; empty city groups
@@ -477,8 +480,10 @@ def _generate_graph_fast(
                         np.searchsorted(share_cum, global_rolls[need]),
                     ),
                 )
-                pool_key = target_ci.copy()  # default: target-country pool
                 same = target_ci == nci
+                # Default: the target country's pool (own country when
+                # the target has no residents).
+                pool_key = np.where(populated[target_ci], target_ci, nci)
                 if grav_cum is not None:
                     dsel = np.flatnonzero(same)
                     if len(dsel):

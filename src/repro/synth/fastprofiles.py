@@ -4,9 +4,9 @@
 The reference builder draws ~30 scalar uniforms per user (one or two per
 field decision). This module draws them as whole-population matrices —
 one ``(n, n_fields)`` public-share Bernoulli matrix, one hidden-field
-matrix, one privacy-level matrix — and then assembles the
-:class:`~repro.platform.models.UserProfile` objects in a lean loop that
-only constructs field values that actually appear on the profile.
+matrix, one privacy-level matrix — and then assembles them straight
+into a :class:`~repro.platform.columnar.ColumnarProfileStore`, with no
+object per user.
 
 Equivalence contract (same as :mod:`repro.synth.fastgen`): identical
 marginal distributions per decision, *not* an identical RNG stream. Every
@@ -28,11 +28,9 @@ import numpy as np
 from repro.platform.columnar import ABSENT, ColumnarProfileStore, FieldColumn
 from repro.platform.models import (
     ContactInfo,
-    FieldValue,
     LookingFor,
     OCCUPATION_LABELS,
     Place,
-    UserProfile,
 )
 from repro.platform.gcpause import gc_paused
 from repro.platform.privacy import PUBLIC
@@ -117,9 +115,8 @@ class _PlacesPlan:
 
     ``owners`` (ascending) are the users whose field is present;
     ``offsets`` is the CSR cut of the previous-place rows per owner.
-    Both assemblers — dict and columnar — construct identical
-    :class:`Place` values from this plan; the columnar store keeps the
-    plan itself and builds the lists only on access.
+    The profile columns keep the plan itself and build the
+    :class:`Place` lists only on access.
     """
 
     owners: np.ndarray
@@ -141,8 +138,8 @@ def _places_plan(
     """Draw previous places for every present owner, in one batch.
 
     The draw order (multi flag, extra count, foreign flag, foreign
-    country, city, jittered coordinates) is the RNG contract both
-    profile assemblers rely on.
+    country, city, jittered coordinates) is part of the engine's RNG
+    contract.
     """
     owners = np.flatnonzero(present)
     n_present = len(owners)
@@ -177,46 +174,11 @@ def _places_plan(
     )
 
 
-def _places_values(
-    population: Population, plan: _PlacesPlan
-) -> dict[int, list[Place]]:
-    """Materialize every present owner's places-lived list from the plan."""
-    names_of = plan.names_of
-    prev_places = [
-        Place(names_of[code][city], lat, lon, code)
-        for code, city, lat, lon in zip(
-            plan.prev_codes,
-            plan.prev_city.tolist(),
-            plan.prev_lat.tolist(),
-            plan.prev_lon.tolist(),
-        )
-    ]
-    offsets = plan.offsets
-    city_idx = population.city_indices
-    lats = population.latitudes
-    lons = population.longitudes
-    result: dict[int, list[Place]] = {}
-    country_list = population.country_codes
-    for row, user_id in enumerate(plan.owners.tolist()):
-        code = country_list[user_id]
-        places = prev_places[offsets[row] : offsets[row + 1]]
-        places.append(
-            Place(
-                names_of[code][int(city_idx[user_id])],
-                float(lats[user_id]),
-                float(lons[user_id]),
-                code,
-            )
-        )
-        result[user_id] = places
-    return result
-
-
 def _places_formula(population: Population, plan: _PlacesPlan):
-    """Per-user places-lived builder over the plan arrays (columnar path).
+    """Per-user places-lived builder over the plan arrays.
 
-    Constructs the same list :func:`_places_values` stores, but only when
-    a profile view is actually read — nothing is resident per user.
+    Constructs the list only when a profile is actually read — nothing
+    is resident per user.
     """
     owners = plan.owners
     offsets = plan.offsets
@@ -255,9 +217,8 @@ def _places_formula(population: Population, plan: _PlacesPlan):
 class _ProfileDraws:
     """Every random draw behind a profile batch, in the order drawn.
 
-    Both assemblers consume this one plan, so a seed produces the same
-    profile semantics whether the result is a dict of
-    :class:`UserProfile` objects or a :class:`ColumnarProfileStore`.
+    The column assembler consumes this one plan in a fixed order, so a
+    seed always produces the same profiles.
     """
 
     lists_public: np.ndarray
@@ -316,200 +277,7 @@ def _draw_profile_plan(
     )
 
 
-def build_profiles_fast(
-    population: Population, config: WorldConfig, rng: np.random.Generator
-) -> dict[int, UserProfile]:
-    """Drop-in fast counterpart of :func:`repro.synth.profiles.build_profiles`."""
-    with gc_paused():
-        return _build_profiles_fast(population, config, rng)
-
-
-def _build_profiles_fast(
-    population: Population, config: WorldConfig, rng: np.random.Generator
-) -> dict[int, UserProfile]:
-    n = population.n
-    sampler = CitySampler()
-    draws = _draw_profile_plan(population, config, sampler, rng)
-    lists_public = draws.lists_public.tolist()
-    gender_public = draws.gender_public
-    gender_level = draws.gender_level
-    status, level = draws.status, draws.level
-    places = _places_values(population, draws.places)
-    looking_for_options = list(LookingFor)
-    looking_idx = draws.looking_idx
-    tel_roll = draws.tel_roll.tolist()
-    sliver = draws.sliver
-    sliver_level = draws.sliver_level.tolist()
-
-    both_frac = config.profiles.tel_both_fraction
-    work_frac = both_frac + config.profiles.tel_work_only_fraction
-    hidden_levels = _HIDDEN_LEVELS
-    genders = population.genders
-    relationships = population.relationships
-    occupations = population.occupations
-    spec_of = population.celebrity_spec
-    country_codes = population.country_codes
-
-    # Assembly is column-major: every fields dict starts with gender,
-    # then each decide() column inserts its values for the users that
-    # carry it, walking the columns in the reference field order — so the
-    # per-user key order matches the reference exactly. The synthetic
-    # values repeat with small periods, so whole *FieldValue* instances
-    # are cached per (value, privacy level) and shared between users —
-    # FieldValue is frozen and compares by value, so sharing is
-    # indistinguishable from constructing one per user. Only per-user
-    # values (places, per-user URLs/names) and list-valued fields (whose
-    # inner list stays fresh per user) are built individually.
-    levels_all = (PUBLIC, *hidden_levels)
-    n_levels = len(levels_all)
-    # Privacy-level code per user per column: 0 = public, 1 + j = the
-    # j-th hidden level. Columns index this with their own status row.
-    gcode = np.where(gender_public, 0, gender_level + 1).tolist()
-    gender_vals = list(dict.fromkeys(genders))
-    gender_index = {v: j for j, v in enumerate(gender_vals)}
-    gcache = [
-        FieldValue(v, lev) for v in gender_vals for lev in levels_all
-    ]
-    gi = list(map(gender_index.__getitem__, genders))
-    fields_by_user: list[dict[str, FieldValue]] = [
-        {"gender": gcache[gi[i] * n_levels + gcode[i]]} for i in range(n)
-    ]
-    edu_pool = [f"Studied at University {i}" for i in range(409)]
-    emp_pool = [f"Works at Company {i}" for i in range(997)]
-    contrib_pool = [f"https://blog.example/{i}" for i in range(211)]
-    rec_pool = [f"https://links.example/{i}" for i in range(53)]
-
-    def _pool_cache(values) -> list[FieldValue]:
-        """FieldValue per (pool value, privacy level), level-minor."""
-        return [FieldValue(v, lev) for v in values for lev in levels_all]
-
-    user_ids = np.arange(n, dtype=np.int64)
-    for col, key in enumerate(_DECIDE_FIELDS):
-        scol = status[:, col]
-        idx_arr = np.flatnonzero(scol)
-        idx = idx_arr.tolist()
-        # 0 = public, 1 + j = j-th hidden level (meaningful where scol).
-        code = np.where(scol == 1, 0, level[:, col] + 1)
-        if key == "places_lived":
-            codes = code.tolist()
-            for i in idx:
-                fields_by_user[i][key] = FieldValue(
-                    places[i], levels_all[codes[i]]
-                )
-        elif key == "education":
-            cache = _pool_cache(edu_pool)
-            ci = ((user_ids % 409) * n_levels + code)[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-        elif key == "employment":
-            cache = _pool_cache(emp_pool)
-            ci = ((user_ids % 997) * n_levels + code)[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-        elif key == "phrase":
-            cache = _pool_cache(["Carpe diem"])
-            ci = code[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-        elif key == "other_profiles":
-            codes = code.tolist()
-            for i in idx:
-                fields_by_user[i][key] = FieldValue(
-                    [f"https://social.example/{i}"], levels_all[codes[i]]
-                )
-        elif key == "occupation":
-            occ_vals = list(dict.fromkeys(occupations))
-            occ_index = {v: j for j, v in enumerate(occ_vals)}
-            cache = _pool_cache([OCCUPATION_LABELS[v] for v in occ_vals])
-            oi = np.fromiter(
-                map(occ_index.__getitem__, occupations), np.int64, count=n
-            )
-            ci = (oi * n_levels + code)[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-        elif key == "contributor_to":
-            codes = code.tolist()
-            for i in idx:
-                fields_by_user[i][key] = FieldValue(
-                    [contrib_pool[i % 211]], levels_all[codes[i]]
-                )
-        elif key == "introduction":
-            cache = _pool_cache(["Hi, I joined Google+!"])
-            ci = code[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-        elif key == "other_names":
-            codes = code.tolist()
-            for i in idx:
-                fields_by_user[i][key] = FieldValue(
-                    f"U{i:06d}", levels_all[codes[i]]
-                )
-        elif key == "relationship":
-            rel_vals = list(dict.fromkeys(relationships))
-            rel_index = {v: j for j, v in enumerate(rel_vals)}
-            cache = _pool_cache(rel_vals)
-            ri = np.fromiter(
-                map(rel_index.__getitem__, relationships), np.int64, count=n
-            )
-            ci = (ri * n_levels + code)[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-        elif key == "bragging_rights":
-            cache = _pool_cache(["Survived the invite queue"])
-            ci = code[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-        elif key == "recommended_links":
-            codes = code.tolist()
-            for i in idx:
-                fields_by_user[i][key] = FieldValue(
-                    [rec_pool[i % 53]], levels_all[codes[i]]
-                )
-        else:  # looking_for
-            cache = _pool_cache(looking_for_options)
-            ci = (looking_idx * n_levels + code)[idx_arr].tolist()
-            for i, c in zip(idx, ci):
-                fields_by_user[i][key] = cache[c]
-
-    # Contact blocks close each fields dict, exactly as in the reference.
-    prefix_of = {
-        code: (zlib.crc32(code.encode("ascii")) % 90) + 10
-        for code in set(country_codes)
-    }
-    for i in np.flatnonzero(population.tel_users).tolist():
-        prefix = prefix_of[country_codes[i]]
-        contact = ContactInfo(
-            phone=f"+{prefix} 555 {i % 10_000:04d}",
-            email=f"user{i}@example.com",
-        )
-        fields = fields_by_user[i]
-        roll = tel_roll[i]
-        if roll < both_frac:
-            fields["work_contact"] = FieldValue(contact, PUBLIC)
-            fields["home_contact"] = FieldValue(contact, PUBLIC)
-        elif roll < work_frac:
-            fields["work_contact"] = FieldValue(contact, PUBLIC)
-        else:
-            fields["home_contact"] = FieldValue(contact, PUBLIC)
-    for i in np.flatnonzero(sliver & ~population.tel_users).tolist():
-        fields_by_user[i]["work_contact"] = FieldValue(
-            ContactInfo(email=f"user{i}@example.com"),
-            hidden_levels[sliver_level[i]],
-        )
-
-    profiles: dict[int, UserProfile] = {}
-    for user_id in range(n):
-        spec = spec_of.get(user_id)
-        profiles[user_id] = UserProfile(
-            user_id=user_id,
-            name=spec.name if spec else f"User {user_id:06d}",
-            fields=fields_by_user[user_id],
-            lists_public=lists_public[user_id],
-        )
-    return profiles
-
-
-#: Field-dict insertion order of both fast assemblers: gender opens every
+#: Field-dict insertion order of fast profiles: gender opens every
 #: dict, the decide() columns follow in reference order, contacts close.
 _FAST_KEY_SEQUENCE: tuple[str, ...] = (
     "gender",
@@ -524,15 +292,10 @@ def build_profile_columns_fast(
 ) -> ColumnarProfileStore:
     """Profiles as a :class:`ColumnarProfileStore` — no object per user.
 
-    Consumes the RNG in exactly the same order as
-    :func:`build_profiles_fast`, so the same seed yields the same world
-    whether it is assembled as dicts or as columns: every profile view
-    read from the columnar store equals the :class:`UserProfile` the
-    dict assembler would have built.  Field values that repeat across
-    the population live in small interned tables (gender, occupation,
-    relationship, looking-for); per-user values (places, URLs, contact
-    blocks) are derived from the user id and the draw plan on access,
-    so the resident cost per field is two bytes of privacy code plus at
+    Field values that repeat across the population live in small
+    interned tables (gender, occupation, relationship, looking-for);
+    per-user values (places, URLs, contact blocks) are derived from the
+    user id and the draw plan on access, so the resident cost per field is two bytes of privacy code plus at
     most four bytes of value code per user.
     """
     with gc_paused():

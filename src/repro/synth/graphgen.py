@@ -300,7 +300,9 @@ def _run_growth_rounds(
                         pools.by_country[code],
                     )
                 else:
-                    pool = pools.by_country[target_code]
+                    # Small worlds leave some countries without residents;
+                    # a stub drawn to one falls back to its own country.
+                    pool = pools.by_country.get(target_code) or pools.by_country[code]
                 target = pick_from_pool(pool, u, pick_rolls[slot])
             if target is None:
                 continue

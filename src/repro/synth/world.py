@@ -9,16 +9,14 @@ and ablation benches can compare crawled measurements against the truth.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.obs import trace
-from repro.platform.columnar import (
-    ColumnarGooglePlusService,
-    ColumnarProfileStore,
-    ProfilesView,
-)
+from repro.platform.columnar import ColumnarProfileStore
 from repro.platform.gcpause import gc_paused
 from repro.platform.http import HttpFrontend, SimulatedClock
 from repro.platform.models import UserProfile
@@ -26,12 +24,32 @@ from repro.platform.service import GooglePlusService
 
 from .config import WorldConfig
 from .fastgen import generate_graph_fast
-from .fastprofiles import build_profile_columns_fast, build_profiles_fast
+from .fastprofiles import build_profile_columns_fast
 from .graphgen import GeneratedGraph, generate_graph
 from .profiles import Population, build_profiles, generate_population
 
 #: Circle labels used when planting social links, to exercise named circles.
 _CIRCLE_LABELS = ("friends", "family", "colleagues", "following")
+
+
+class ProfilesView(Mapping):
+    """Read-only ``{user_id: profile}`` mapping over a service: each
+    lookup is :meth:`GooglePlusService.profile` (no object per user is
+    held)."""
+
+    def __init__(self, service: GooglePlusService):
+        self._service = service
+
+    def __getitem__(self, user_id: int) -> UserProfile:
+        if user_id not in self._service:
+            raise KeyError(user_id)
+        return self._service.profile(user_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return self._service.user_ids()
+
+    def __len__(self) -> int:
+        return len(self._service)
 
 
 @dataclass
@@ -40,11 +58,8 @@ class SyntheticWorld:
 
     config: WorldConfig
     population: Population
-    #: ``{user_id: profile}`` ground truth — a plain dict of
-    #: :class:`UserProfile` under the dict store, a lazy
-    #: :class:`~repro.platform.columnar.ProfilesView` under the columnar
-    #: store (same mapping protocol, no object per user).
-    profiles: dict[int, UserProfile] | ProfilesView
+    #: ``{user_id: profile}`` ground truth, read through the service.
+    profiles: ProfilesView
     graph: GeneratedGraph
     service: GooglePlusService
     clock: SimulatedClock
@@ -91,29 +106,28 @@ class SyntheticWorld:
         raise RuntimeError("world has no rank-2 global celebrity")
 
 
-def _populate_service_columnar(
+def _build_service(
     world_config: WorldConfig,
     population: Population,
     profile_store: ColumnarProfileStore,
     graph: GeneratedGraph,
     rng: np.random.Generator,
-) -> ColumnarGooglePlusService:
-    """Columnar counterpart of :func:`_populate_service`.
+) -> GooglePlusService:
+    """Ingest the profile columns and the planted social links.
 
-    Registration and edge planting collapse into one bulk ingest.  The
-    RNG draws of the dict path (inviter rolls, circle rolls) are kept in
-    the exact same order, so a seed builds the same world under either
-    store; the field-trial inviter validation is skipped because the
-    generator's inviters are valid by construction (each user is invited
-    by an earlier trial user).
+    The field trial (invitation-only signup, then open signup on
+    September 20th, 2011) shaped who could join when; the generator's
+    inviters are valid by construction, so the ingest skips the
+    per-signup invitation check but keeps the inviter draw, which pins
+    the RNG stream every later draw depends on.
     """
-    service = ColumnarGooglePlusService(
+    service = GooglePlusService(
         open_signup=True,
         circle_display_limit=world_config.circle_display_limit,
     )
     n = population.n
     trial_count = max(1, int(round(world_config.field_trial_fraction * n)))
-    rng.integers(0, trial_count, size=n)  # the dict path's inviter rolls
+    rng.integers(0, trial_count, size=n)  # inviter rolls
     circle_rolls = rng.integers(0, len(_CIRCLE_LABELS), size=graph.n_edges)
     # Narrow before ingest: holding the int64 draw alongside the CSR
     # build costs O(edges) for nothing.
@@ -129,54 +143,11 @@ def _populate_service_columnar(
     return service
 
 
-def _populate_service(
-    world_config: WorldConfig,
-    population: Population,
-    profiles: dict[int, UserProfile],
-    graph: GeneratedGraph,
-    rng: np.random.Generator,
-) -> GooglePlusService:
-    """Register accounts (field trial then open signup) and plant edges."""
-    service = GooglePlusService(
-        open_signup=True,
-        circle_display_limit=world_config.circle_display_limit,
-    )
-    n = population.n
-    trial_count = max(1, int(round(world_config.field_trial_fraction * n)))
-    exempt_ids = population.celebrity_spec
-    # Bootstrap account, then invitation-only field trial.
-    service.register(profiles[0], exempt_from_circle_limit=population.is_celebrity(0))
-    service.open_signup = False
-    inviter_rolls = rng.integers(0, trial_count, size=n)
-    inviters = (inviter_rolls[1:trial_count] % np.arange(1, trial_count)).tolist()
-    service.register_bulk(
-        (profiles[user_id] for user_id in range(1, trial_count)),
-        exempt_ids=exempt_ids,
-        invited_by=inviters,
-    )
-    # September 20th, 2011: open signup.
-    service.enable_open_signup()
-    service.register_bulk(
-        (profiles[user_id] for user_id in range(trial_count, n)),
-        exempt_ids=exempt_ids,
-    )
-    circle_rolls = rng.integers(0, len(_CIRCLE_LABELS), size=graph.n_edges)
-    # Bulk ingest (both engines): state-identical to the per-edge
-    # add_to_circle loop, minus 400k+ per-call validations.
-    service.add_edges_bulk(
-        graph.sources,
-        graph.targets,
-        circle_index=(_CIRCLE_LABELS, circle_rolls),
-    )
-    return service
-
-
 def build_world(config: WorldConfig | None = None) -> SyntheticWorld:
     """Generate a complete world from a config (or the calibrated default)."""
     config = config if config is not None else WorldConfig()
     rng = np.random.default_rng(config.seed)
     fast = config.engine == "fast"
-    columnar = config.store == "columnar"
     # One GC pause across the whole fast build: the stage-local pauses
     # nest inside it (gc_paused is re-entrant), so the collector sweeps
     # the finished world once instead of after every stage.
@@ -190,32 +161,23 @@ def build_world(config: WorldConfig | None = None) -> SyntheticWorld:
         with trace.span("synth.population"):
             population = generate_population(config, rng)
         with trace.span("synth.profiles"):
-            if fast and columnar:
-                # The memory-diet path: columns assembled directly, no
-                # UserProfile object ever exists for the base world.
+            if fast:
                 profile_store = build_profile_columns_fast(population, config, rng)
-            elif fast:
-                profiles = build_profiles_fast(population, config, rng)
             else:
-                profiles = build_profiles(population, config, rng)
-                if columnar:
-                    profile_store = ColumnarProfileStore.from_profiles(profiles)
+                profile_store = ColumnarProfileStore.from_profiles(
+                    build_profiles(population, config, rng)
+                )
         with trace.span("synth.graphgen"):
             if fast:
                 graph = generate_graph_fast(population, config.graph, rng)
             else:
                 graph = generate_graph(population, config.graph, rng)
         with trace.span("synth.service"):
-            if columnar:
-                service = _populate_service_columnar(
-                    config, population, profile_store, graph, rng
-                )
-            else:
-                service = _populate_service(config, population, profiles, graph, rng)
+            service = _build_service(config, population, profile_store, graph, rng)
     return SyntheticWorld(
         config=config,
         population=population,
-        profiles=ProfilesView(service) if columnar else profiles,
+        profiles=ProfilesView(service),
         graph=graph,
         service=service,
         clock=SimulatedClock(),

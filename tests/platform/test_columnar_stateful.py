@@ -1,18 +1,19 @@
-"""Stateful differential proof: the columnar store IS the dict store.
+"""Stateful differential proof: the service matches a plain-object model.
 
-One hypothesis state machine drives a dict-backed
-:class:`GooglePlusService` and a columnar
-:class:`ColumnarGooglePlusService` seeded with the same world through
-identical randomized operation sequences — circle edits (including
-removals and never-member removals), field updates across every privacy
-level, list-visibility toggles, post-ingest registrations — and asserts
-after every step that every observable agrees: profile fields and
-privacy-rendered pages (byte-for-byte, and against the per-field
-oracle in ``tests/reference_pages.py``), ``circles_of`` / ``flattened``
-/ ``out_degree``, followers, and ``member_of``.
+One hypothesis state machine drives :class:`GooglePlusService`, with its
+base world ingested as columns, and the pure-Python
+:class:`tests.model_service.ModelService`, with the same world built by
+per-edge adds, through identical randomized operation sequences —
+circle edits (including removals and never-member removals), field
+updates across every privacy level, list-visibility toggles, post-ingest
+registrations — and asserts after every step that every observable
+agrees: ordered profile fields, circle names, memberships, followers,
+followees and notifications, and privacy-rendered pages (byte-for-byte,
+against the per-field oracle in ``tests/reference_pages.py``).
 """
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import (
     invariant,
@@ -20,10 +21,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
 )
 
-from repro.platform.columnar import (
-    ColumnarGooglePlusService,
-    ColumnarProfileStore,
-)
+from repro.platform.columnar import ColumnarProfileStore
 from repro.platform.models import UserProfile
 from repro.platform.privacy import (
     custom,
@@ -34,6 +32,7 @@ from repro.platform.privacy import (
 )
 from repro.platform.service import GooglePlusService
 from repro.serve.cache import page_to_bytes
+from tests.model_service import ModelService, observable_state
 from tests.reference_pages import reference_page
 
 N_BASE = 10
@@ -67,42 +66,37 @@ def base_profiles() -> dict[int, UserProfile]:
     return profiles
 
 
-def build_pair() -> tuple[GooglePlusService, ColumnarGooglePlusService]:
-    profiles = base_profiles()
-    reference = GooglePlusService(open_signup=True)
-    for uid in range(N_BASE):
-        reference.register(profiles[uid])
-    import numpy as np
-
-    sources = np.array([e[0] for e in BASE_EDGES])
-    targets = np.array([e[1] for e in BASE_EDGES])
-    labels = np.array([e[2] for e in BASE_EDGES], dtype=np.uint8)
-    reference.add_edges_bulk(sources, targets, circle_index=(CIRCLES, labels))
-    columnar = ColumnarGooglePlusService(open_signup=True)
-    columnar.ingest_world(
+def build_pair() -> tuple[ModelService, GooglePlusService]:
+    model = ModelService()
+    for profile in base_profiles().values():
+        model.register(profile)
+    for source, target, label in BASE_EDGES:
+        model.add_to_circle(source, target, CIRCLES[label])
+    service = GooglePlusService(open_signup=True)
+    service.ingest_world(
         ColumnarProfileStore.from_profiles(base_profiles()),
-        sources,
-        targets,
+        np.array([e[0] for e in BASE_EDGES]),
+        np.array([e[1] for e in BASE_EDGES]),
         CIRCLES,
-        labels,
+        np.array([e[2] for e in BASE_EDGES], dtype=np.uint8),
     )
-    return reference, columnar
+    return model, service
 
 
 class ColumnarEquivalenceMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.reference, self.columnar = build_pair()
+        self.model, self.service = build_pair()
         self.next_uid = N_BASE
 
     users = st.integers(min_value=0, max_value=N_BASE - 1)
 
     def _both(self, op):
-        """Apply an operation to both services; outcomes must match too."""
+        """Apply an operation to both sides; outcomes must match too."""
         results = []
-        for service in (self.reference, self.columnar):
+        for side in (self.model, self.service):
             try:
-                results.append(("ok", op(service)))
+                results.append(("ok", op(side)))
             except Exception as exc:  # identical failures are agreement
                 results.append(("err", type(exc).__name__))
         assert results[0] == results[1], results
@@ -115,7 +109,7 @@ class ColumnarEquivalenceMachine(RuleBasedStateMachine):
     @rule(u=users, v=users, circle=st.sampled_from(CIRCLES + (None,)))
     def remove_from_circle(self, u, v, circle):
         # Includes never-member and unknown-circle removals: the return
-        # value and the raised error must agree across stores.
+        # value and the raised error must agree.
         self._both(lambda s: s.remove_from_circle(u, v, circle))
 
     @rule(
@@ -143,43 +137,28 @@ class ColumnarEquivalenceMachine(RuleBasedStateMachine):
 
     @invariant()
     def circle_state_identical(self):
-        for uid in range(self.next_uid):
-            ref = self.reference._account(uid).circles
-            col = self.columnar._account(uid).circles
-            assert ref.flattened() == col.flattened(), uid
-            assert ref.out_degree() == col.out_degree(), uid
-            for target in range(self.next_uid):
-                assert ref.circles_of(target) == col.circles_of(target)
-                assert ref.contains(target) == col.contains(target)
-                for circle in CIRCLES:
-                    assert ref.member_of(target, circle) == col.member_of(
-                        target, circle
-                    ), (uid, target, circle)
-            assert self.reference.followers(uid) == self.columnar.followers(uid)
+        uids = range(self.next_uid)
+        assert observable_state(self.service, uids, CIRCLES) == observable_state(
+            self.model, uids, CIRCLES
+        )
 
     @invariant()
     def rendered_pages_identical(self):
         viewers = [None] + list(range(self.next_uid))
         for owner in range(self.next_uid):
             for viewer in viewers:
-                ref = page_to_bytes(self.reference.profile_page(owner, viewer))
-                col = page_to_bytes(self.columnar.profile_page(owner, viewer))
-                assert ref == col, (owner, viewer)
-                oracle = page_to_bytes(reference_page(self.reference, owner, viewer))
-                assert oracle == ref, (owner, viewer)
+                page = page_to_bytes(self.service.profile_page(owner, viewer))
+                oracle = page_to_bytes(reference_page(self.model, owner, viewer))
+                assert page == oracle, (owner, viewer)
 
     @invariant()
     def profiles_identical(self):
         for uid in range(self.next_uid):
-            ref = self.reference.profile(uid)
-            col = self.columnar.profile(uid)
-            assert ref.name == col.name, uid
-            assert ref.lists_public == col.lists_public, uid
-            assert set(ref.fields) == set(col.fields), uid
-            for key, entry in ref.fields.items():
-                other = col.fields[key]
-                assert entry.value == other.value, (uid, key)
-                assert entry.privacy == other.privacy, (uid, key)
+            mine = self.service.profile(uid)
+            theirs = self.model.profile(uid)
+            assert mine.name == theirs.name, uid
+            assert mine.lists_public == theirs.lists_public, uid
+            assert list(mine.fields.items()) == list(theirs.fields.items()), uid
 
 
 TestColumnarEquivalence = ColumnarEquivalenceMachine.TestCase

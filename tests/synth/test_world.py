@@ -32,7 +32,7 @@ class TestWorldAssembly:
     def test_celebrities_exempt_from_circle_limit(self, small_world):
         service = small_world.service
         for user_id in small_world.population.celebrity_spec:
-            assert service._account(user_id).circles.exempt_from_limit
+            assert service.exempt_from_circle_limit(user_id)
 
     def test_frontend_serves_profiles(self, small_world):
         from repro.platform.http import Request
@@ -59,3 +59,17 @@ class TestWorldAssembly:
             WorldConfig(n_users=500, seed=1, field_trial_fraction=1.5)
         with pytest.raises(ValueError):
             WorldConfig(n_users=500, seed=1, tel_user_rate=1.0)
+
+
+#: Small worlds leave some countries without residents; these sizes and
+#: seeds each drew a stub towards one under some engine.
+_SMALL_WORLDS = [
+    ("fast", n, seed) for n in (200, 300, 500, 1000, 1500, 3000) for seed in range(12)
+] + [("reference", n, seed) for n in (200, 300, 500) for seed in range(6)]
+
+
+@pytest.mark.parametrize("engine,n_users,seed", _SMALL_WORLDS)
+def test_small_worlds_build(engine, n_users, seed):
+    world = build_world(WorldConfig(n_users=n_users, seed=seed, engine=engine))
+    assert len(world.service) == n_users
+    assert world.graph.n_edges > 0
