@@ -22,6 +22,7 @@ implementation; the crawler itself stays storage-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -36,8 +37,10 @@ from .parse import PageParseError, ParsedProfile, parse_profile_page
 from .resilience import ResiliencePolicy
 from .workers import MachinePool, publish_fetch_stats, publish_pool_health
 
-#: Packing base for the edge-dedup set; user ids must stay below this.
-_PACK = 1 << 32
+#: Packing base for the edge-dedup set (``u * _PACK + v``); user ids
+#: must stay below it.
+_PACK_BITS = 32
+_PACK = 1 << _PACK_BITS
 
 
 @dataclass(frozen=True)
@@ -196,12 +199,16 @@ class CrawlSnapshot:
 
 @dataclass
 class ResumeState:
-    """A restored crawl: control snapshot plus the replayed crawl data."""
+    """A restored crawl: control snapshot plus the replayed crawl data.
+
+    ``sources``/``targets`` are the edge columns, as int lists or int64
+    arrays.
+    """
 
     snapshot: CrawlSnapshot
     profiles: dict[int, ParsedProfile]
-    sources: list[int]
-    targets: list[int]
+    sources: list[int] | np.ndarray
+    targets: list[int] | np.ndarray
 
 
 class CrawlHooks:
@@ -393,11 +400,16 @@ class BidirectionalBFSCrawler:
                         restorer(extension_state)
                 started = snapshot.started
                 profiles = dict(resume.profiles)
-                sources = list(resume.sources)
-                targets = list(resume.targets)
-                edge_keys = {
-                    u * _PACK + v for u, v in zip(sources, targets)
-                }
+                restored_sources = np.asarray(resume.sources, dtype=np.int64)
+                restored_targets = np.asarray(resume.targets, dtype=np.int64)
+                sources = restored_sources.tolist()
+                targets = restored_targets.tolist()
+                edge_keys = set(
+                    (
+                        (restored_sources.astype(np.uint64) << np.uint64(_PACK_BITS))
+                        | restored_targets.astype(np.uint64)
+                    ).tolist()
+                )
                 hooks.on_resume(resume)
             else:
                 started = self.frontend.clock.now()
@@ -407,17 +419,18 @@ class BidirectionalBFSCrawler:
                 targets = []
                 edge_keys = set()
 
-            #: Edges the page being processed contributed (for hooks).
-            page_edges: list[tuple[int, int]] = []
+            #: Edge columns the page being processed contributed.
+            page_sources: list[int] = []
+            page_targets: list[int] = []
 
-            def record_edge(u: int, v: int) -> None:
-                if u == v:
-                    return
-                key = u * _PACK + v
-                if key in edge_keys:
-                    return
-                edge_keys.add(key)
-                page_edges.append((u, v))
+            def fresh_keys(self_key: int, keys: list[int]) -> list[int]:
+                """The never-seen keys among one list's packed edge keys,
+                in first-occurrence order (self-loop dropped), now seen."""
+                ordered = dict.fromkeys(keys)
+                ordered.pop(self_key, None)
+                fresh = [key for key in ordered if key not in edge_keys]
+                edge_keys.update(fresh)
+                return fresh
 
             def ingest(user_id: int, profile: ParsedProfile) -> None:
                 """Record one successfully parsed page and fan out its edges.
@@ -431,23 +444,31 @@ class BidirectionalBFSCrawler:
                 journal for the abort checkpoint to be consistent).
                 """
                 pages_counter.inc()
-                page_edges.clear()
+                page_sources.clear()
+                page_targets.clear()
+                self_key = user_id * _PACK + user_id
                 if self.config.follow_out_lists and profile.out_list is not None:
-                    for target in profile.out_list:
-                        record_edge(user_id, target)
+                    base = user_id * _PACK
+                    fresh = fresh_keys(self_key, [base + v for v in profile.out_list])
+                    page_sources.extend(repeat(user_id, len(fresh)))
+                    page_targets.extend([key - base for key in fresh])
                     frontier.add_all(profile.out_list)
                 if self.config.follow_in_lists and profile.in_list is not None:
-                    for source in profile.in_list:
-                        record_edge(source, user_id)
+                    fresh = fresh_keys(
+                        self_key, [u * _PACK + user_id for u in profile.in_list]
+                    )
+                    page_sources.extend([key >> _PACK_BITS for key in fresh])
+                    page_targets.extend(repeat(user_id, len(fresh)))
                     frontier.add_all(profile.in_list)
                 try:
                     if hooks is not None:
-                        hooks.on_page(user_id, profile, list(page_edges))
+                        hooks.on_page(
+                            user_id, profile, list(zip(page_sources, page_targets))
+                        )
                 finally:
                     profiles[user_id] = profile
-                    for u, v in page_edges:
-                        sources.append(u)
-                        targets.append(v)
+                    sources.extend(page_sources)
+                    targets.extend(page_targets)
                 if hooks is not None:
                     if hooks.should_checkpoint(len(profiles), self.frontend.clock.now()):
                         # Refresh fleet-health gauges so a checkpoint

@@ -35,7 +35,13 @@ class BFSFrontier:
         return True
 
     def add_all(self, user_ids) -> int:
-        return sum(1 for uid in user_ids if self.add(uid))
+        """Enqueue every never-seen id, in first-occurrence order; returns
+        how many were enqueued (the same as calling :meth:`add` on each)."""
+        seen = self._seen
+        fresh = [uid for uid in dict.fromkeys(user_ids) if uid not in seen]
+        seen.update(fresh)
+        self._queue.extend(fresh)
+        return len(fresh)
 
     def pop(self) -> int:
         """Dequeue the next user to crawl (FIFO = breadth-first)."""
@@ -68,9 +74,9 @@ class BFSFrontier:
         integers, which hash like ints but do not survive JSON.
         """
         return {
-            "queue": [int(user_id) for user_id in self._queue],
-            "seen": sorted(int(user_id) for user_id in self._seen),
-            "visited": sorted(int(user_id) for user_id in self._visited),
+            "queue": list(map(int, self._queue)),
+            "seen": sorted(map(int, self._seen)),
+            "visited": sorted(map(int, self._visited)),
         }
 
     def restore_state(self, state: dict) -> None:

@@ -85,6 +85,9 @@ class ParsedProfile:
         return place.country if place is not None else None
 
 
+_EXACT_INT = frozenset({int})
+
+
 def _parse_circle_list(page_user_id: int, which: str, view: Any) -> tuple[tuple[int, ...], int]:
     """Validate one circle-list view; raises :class:`PageParseError`."""
     user_ids = getattr(view, "user_ids", None)
@@ -93,14 +96,19 @@ def _parse_circle_list(page_user_id: int, which: str, view: Any) -> tuple[tuple[
         raise PageParseError(
             f"page {page_user_id}: {which} circle list has no id sequence"
         )
-    clean: list[int] = []
-    for entry in user_ids:
-        if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
-            raise PageParseError(
-                f"page {page_user_id}: {which} circle list holds a non-id "
-                f"entry {entry!r}"
-            )
-        clean.append(entry)
+    if not user_ids or (set(map(type, user_ids)) <= _EXACT_INT and min(user_ids) >= 0):
+        # Fast path, all C-level: every entry is exactly an int (no bool,
+        # no subclass, no numpy scalar) and none is negative.
+        clean = user_ids
+    else:
+        clean = []
+        for entry in user_ids:
+            if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
+                raise PageParseError(
+                    f"page {page_user_id}: {which} circle list holds a non-id "
+                    f"entry {entry!r}"
+                )
+            clean.append(entry)
     if not isinstance(declared, int) or isinstance(declared, bool) or declared < len(clean):
         raise PageParseError(
             f"page {page_user_id}: {which} circle list declares an invalid "

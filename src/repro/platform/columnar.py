@@ -36,7 +36,7 @@ from .circles import CircleStore, DEFAULT_CIRCLE, OUT_CIRCLE_LIMIT
 from .errors import CircleLimitError
 from .models import FieldValue, UserProfile
 from .fields import FIELDS_BY_KEY, FIELD_SPECS
-from .privacy import FieldPrivacy
+from .privacy import ANON_CLASS, FieldPrivacy, visible_to
 
 __all__ = [
     "ABSENT",
@@ -134,6 +134,27 @@ class ColumnarProfileStore:
         self._ordered = [
             (key, columns[key]) for key in self.key_sequence if key in columns
         ]
+        #: Per-user ``uint32`` bitmask over ``_ordered``: bit ``i`` is set
+        #: when the user carries field ``i`` and an anonymous viewer sees
+        #: it.  None under a ``key_order``, whose per-user field order a
+        #: mask cannot express.
+        self.anon_mask = self._build_anon_mask() if key_order is None else None
+
+    def _build_anon_mask(self) -> np.ndarray:
+        """One :func:`visible_to` call per interned privacy, then one
+        table lookup per column over all users."""
+        if len(self._ordered) > 32:
+            raise ValueError("the anonymous field mask holds at most 32 fields")
+        mask = np.zeros(self.n, dtype=np.uint32)
+        for bit, (_, column) in enumerate(self._ordered):
+            n_codes = len(column.privacies)
+            # The extra last slot answers ABSENT, clipped down onto it.
+            visible = np.zeros(n_codes + 1, dtype=np.uint32)
+            visible[:n_codes] = [
+                visible_to(privacy, ANON_CLASS) for privacy in column.privacies
+            ]
+            mask |= visible[np.minimum(column.pcode, n_codes)] << np.uint32(bit)
+        return mask
 
     def name_of(self, uid: int) -> str:
         if self.names is not None:
@@ -153,6 +174,18 @@ class ColumnarProfileStore:
     def iter_entries(self, uid: int) -> Iterator[tuple[str, FieldValue]]:
         for key in self.field_keys(uid):
             yield key, self.columns[key].entry(uid)
+
+    def anon_fields(self, uid: int) -> dict[str, Any] | None:
+        """The user's field values an anonymous viewer sees, in insertion
+        order, read from :attr:`anon_mask`; None without a mask."""
+        if self.anon_mask is None:
+            return None
+        bits = int(self.anon_mask[uid])
+        return {
+            key: column.value(uid)
+            for i, (key, column) in enumerate(self._ordered)
+            if bits >> i & 1
+        }
 
     def materialize_profile(self, uid: int) -> UserProfile:
         return UserProfile(

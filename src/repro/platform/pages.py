@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .circles import CIRCLE_DISPLAY_LIMIT
-from .privacy import SELF_CLASS, visible_to
+from .privacy import SELF_CLASS
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,7 @@ def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:
     Fields keep the profile's insertion order: the crawl store writes
     parsed profiles without sorting their keys.
     """
-    fields = {
-        key: entry.value
-        for key, entry in service.field_entries(owner_id)
-        if visible_to(entry.privacy, class_key)
-    }
+    fields = service.visible_fields(owner_id, class_key)
     in_list = out_list = None
     if class_key == SELF_CLASS or service.lists_public(owner_id):
         in_list, out_list = service.circle_lists(owner_id)

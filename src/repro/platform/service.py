@@ -294,6 +294,25 @@ class GooglePlusService:
             return profile.fields.items()
         return self.base_profiles.iter_entries(self._base(user_id))
 
+    def visible_fields(self, user_id: int, class_key: tuple) -> dict:
+        """The field values a viewer of privacy class ``class_key`` sees,
+        ``{key: value}`` in the profile's insertion order.
+
+        An anonymous viewer of a base user without a profile overlay
+        reads the store's public-field mask
+        (:meth:`ColumnarProfileStore.anon_fields`); every other case
+        filters :meth:`field_entries` through :func:`visible_to`.
+        """
+        if class_key == ANON_CLASS and user_id not in self._profiles:
+            fields = self.base_profiles.anon_fields(self._base(user_id))
+            if fields is not None:
+                return fields
+        return {
+            key: entry.value
+            for key, entry in self.field_entries(user_id)
+            if visible_to(entry.privacy, class_key)
+        }
+
     # -- circles / social links --------------------------------------------
 
     def add_to_circle(

@@ -37,6 +37,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,13 @@ from repro.obs.metrics import Registry, get_registry, log_buckets
 
 from . import checkpoint as ckpt
 from .atomio import StoreIO, publish_text
-from .journal import HEADER_SIZE, JournalWriter, iter_records, scan as scan_journal
+from .journal import (
+    HEADER_SIZE,
+    JournalScan,
+    JournalWriter,
+    iter_records,
+    scan as scan_journal,
+)
 from .segments import (
     SegmentError,
     SegmentWriter,
@@ -106,10 +113,15 @@ SEGMENTS_DIR = "segments"
 CHECKPOINTS_DIR = "checkpoints"
 ARCHIVE_DIR = "archive"
 #: Wall-clock liveness file the supervisor watches (see
-#: :mod:`repro.store.supervisor`); refreshed every
-#: :data:`HEARTBEAT_EVERY_PAGES` pages and at every checkpoint.
+#: :mod:`repro.store.supervisor`); written when the store opens, at
+#: every checkpoint, and otherwise at most once per
+#: :data:`HEARTBEAT_EVERY_SECONDS` of wall time while pages land.
 HEARTBEAT_NAME = "heartbeat.json"
-HEARTBEAT_EVERY_PAGES = 16
+HEARTBEAT_EVERY_SECONDS = 1.0
+
+#: Compact JSON encoder for PAGE records; the bytes equal
+#: ``json.dumps(obj, separators=(",", ":"))``.
+_PAGE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class CampaignError(Exception):
@@ -298,9 +310,12 @@ class CampaignStore(CrawlHooks):
             registry=registry,
             io=self.io,
         )
-        self._resume, rollback_offset = self._recover()
+        self._resume, rollback_offset, journal_scan = self._recover()
         self.journal = JournalWriter(
-            self.directory / JOURNAL_NAME, registry=registry, io=self.io
+            self.directory / JOURNAL_NAME,
+            registry=registry,
+            io=self.io,
+            journal_scan=journal_scan,
         )
         if rollback_offset is not None and rollback_offset < self.journal.offset:
             self.journal.truncate_to(rollback_offset)
@@ -321,6 +336,7 @@ class CampaignStore(CrawlHooks):
         dying) and best-effort: a failed heartbeat must never take the
         campaign down.
         """
+        self._next_beat = time.monotonic() + HEARTBEAT_EVERY_SECONDS
         document = json.dumps(
             {
                 "pid": os.getpid(),
@@ -337,7 +353,16 @@ class CampaignStore(CrawlHooks):
 
     # -- recovery ------------------------------------------------------------
 
-    def _recover(self) -> tuple[ResumeState | None, int | None]:
+    def _recover(
+        self,
+    ) -> tuple[ResumeState | None, int | None, JournalScan | None]:
+        """Roll back to the newest usable checkpoint and replay it.
+
+        Returns the resume state (None for a fresh campaign), the journal
+        offset to truncate to, and the journal scan taken on the way —
+        which the writer reuses, so a resume walks the journal twice:
+        once to scan it, once to replay it.
+        """
         journal_path = self.directory / JOURNAL_NAME
         record, journal_scan = _select_checkpoint(self.directory)
         if record is None:
@@ -354,10 +379,16 @@ class CampaignStore(CrawlHooks):
             self.segments.rollback([])
             if journal_scan is not None and journal_scan.n_records:
                 self._m_rolled_back.inc(journal_scan.n_records)
-            return None, (HEADER_SIZE if journal_scan is not None else None)
+            return (
+                None,
+                HEADER_SIZE if journal_scan is not None else None,
+                journal_scan,
+            )
         self.segments.rollback(record.segments)
         profiles = {}
+        replayed = 0
         for rec in iter_records(journal_path, upto=record.journal_offset):
+            replayed += 1
             if rec.kind == KIND_PAGE:
                 profile = profile_from_json(json.loads(rec.body.decode("utf-8")))
                 profiles[profile.user_id] = profile
@@ -367,9 +398,7 @@ class CampaignStore(CrawlHooks):
                 f"{record.sequence} expects {record.n_pages}"
             )
         if journal_scan is not None:
-            self._m_rolled_back.inc(
-                max(0, journal_scan.n_records - self._count_records_upto(record))
-            )
+            self._m_rolled_back.inc(max(0, journal_scan.n_records - replayed))
         sources, targets = load_edges(
             self.directory / SEGMENTS_DIR, names=record.segments
         )
@@ -379,18 +408,10 @@ class CampaignStore(CrawlHooks):
         resume = ResumeState(
             snapshot=snapshot,
             profiles=profiles,
-            sources=sources.tolist(),
-            targets=targets.tolist(),
+            sources=sources,
+            targets=targets,
         )
-        return resume, record.journal_offset
-
-    def _count_records_upto(self, record: ckpt.CheckpointRecord) -> int:
-        return sum(
-            1
-            for _ in iter_records(
-                self.directory / JOURNAL_NAME, upto=record.journal_offset
-            )
-        )
+        return resume, record.journal_offset, journal_scan
 
     def _next_sequence(self) -> int:
         paths = ckpt.list_checkpoint_paths(self.directory / CHECKPOINTS_DIR)
@@ -410,15 +431,17 @@ class CampaignStore(CrawlHooks):
         return self._resume
 
     def on_page(self, user_id, profile, new_edges) -> None:
-        body = json.dumps(_profile_to_json(profile), separators=(",", ":"))
+        body = _PAGE_ENCODER.encode(_profile_to_json(profile))
         self.journal.append(KIND_PAGE, body.encode("utf-8"))
         if new_edges:
-            packed = np.asarray(new_edges, dtype="<i8").tobytes()
-            self.journal.append(KIND_EDGES, packed)
-            self.segments.extend(new_edges)
+            pairs = np.fromiter(
+                chain.from_iterable(new_edges), "<i8", count=2 * len(new_edges)
+            )
+            self.journal.append(KIND_EDGES, pairs.tobytes())
+            self.segments.extend(pairs.reshape(-1, 2))
         self._pages_since_checkpoint += 1
         self._pages_this_process += 1
-        if self._pages_this_process % HEARTBEAT_EVERY_PAGES == 0:
+        if time.monotonic() >= self._next_beat:
             self._beat()
         if (
             self.hang_after_pages is not None

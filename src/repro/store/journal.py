@@ -151,6 +151,10 @@ class JournalWriter:
     ``fsync=True`` additionally fsyncs every flush — durability against
     OS crashes at the price of one syscall per batch; the default
     survives process kills, which is what the simulated campaigns need.
+
+    ``journal_scan`` hands over a :func:`scan` of the existing file that
+    the caller already took (campaign recovery does), so opening does
+    not walk the journal a second time.
     """
 
     def __init__(
@@ -161,6 +165,7 @@ class JournalWriter:
         fsync: bool = False,
         registry: Registry | None = None,
         io: StoreIO | None = None,
+        journal_scan: JournalScan | None = None,
     ):
         self.path = Path(path)
         self._flush_records = max(1, flush_records)
@@ -184,7 +189,9 @@ class JournalWriter:
             "store.journal_truncated_bytes", "Torn-tail bytes dropped on recovery"
         )
         if self.path.exists() and self.path.stat().st_size >= HEADER_SIZE:
-            self.recovery: JournalScan | None = scan(self.path)
+            self.recovery: JournalScan | None = (
+                journal_scan if journal_scan is not None else scan(self.path)
+            )
             if self.recovery.torn_bytes:
                 os.truncate(self.path, self.recovery.valid_end)
                 self._m_truncated.inc(self.recovery.torn_bytes)

@@ -189,8 +189,10 @@ class SegmentWriter:
         self.shard_edges = shard_edges
         self.on_seal = on_seal
         self._io = io
-        self._buf_sources: list[int] = []
-        self._buf_targets: list[int] = []
+        #: Buffered ``(n, 2)`` int64 edge blocks, ``_n_buffered`` rows in
+        #: all; no block crosses a shard boundary.
+        self._buf: list[np.ndarray] = []
+        self._n_buffered = 0
         registry = registry if registry is not None else get_registry()
         self._m_sealed = registry.counter(
             "store.segments_sealed", "Edge segment shards sealed to disk"
@@ -213,7 +215,7 @@ class SegmentWriter:
 
     @property
     def n_buffered(self) -> int:
-        return len(self._buf_sources)
+        return self._n_buffered
 
     def sealed_names(self) -> list[str]:
         return [name for name, _ in self._sealed]
@@ -223,31 +225,41 @@ class SegmentWriter:
         return [count for _, count in self._sealed]
 
     def append(self, u: int, v: int) -> None:
-        self._buf_sources.append(int(u))
-        self._buf_targets.append(int(v))
-        if len(self._buf_sources) >= self.shard_edges:
-            self.seal()
+        self.extend(((int(u), int(v)),))
 
-    def extend(self, edges: Iterable[tuple[int, int]]) -> None:
-        for u, v in edges:
-            self.append(u, v)
+    def extend(self, edges: Iterable[tuple[int, int]] | np.ndarray) -> None:
+        """Buffer ``(u, v)`` pairs — an iterable of pairs or an ``(n, 2)``
+        integer array — sealing a shard each time the buffer fills."""
+        if isinstance(edges, np.ndarray):
+            block = np.asarray(edges, dtype=EDGE_DTYPE).reshape(-1, 2)
+        else:
+            block = np.array(list(edges), dtype=EDGE_DTYPE).reshape(-1, 2)
+        start, n = 0, len(block)
+        while start < n:
+            stop = min(n, start + self.shard_edges - self._n_buffered)
+            self._buf.append(block[start:stop])
+            self._n_buffered += stop - start
+            start = stop
+            if self._n_buffered >= self.shard_edges:
+                self.seal()
 
     def seal(self) -> Path | None:
         """Flush the buffer into a new shard; None when nothing buffered."""
-        if not self._buf_sources:
+        if not self._n_buffered:
             return None
         index = self._next_index()
-        sources = np.asarray(self._buf_sources, dtype=EDGE_DTYPE)
-        targets = np.asarray(self._buf_targets, dtype=EDGE_DTYPE)
+        block = np.concatenate(self._buf)
+        sources = np.ascontiguousarray(block[:, 0])
+        targets = np.ascontiguousarray(block[:, 1])
         path = write_segment(
             self.directory / _segment_name(index), sources, targets, io=self._io
         )
-        self._sealed.append((path.name, len(self._buf_sources)))
+        self._sealed.append((path.name, self._n_buffered))
         self._m_sealed.inc()
-        self._m_edges.inc(len(self._buf_sources))
+        self._m_edges.inc(self._n_buffered)
         self._g_sealed_edges.set(self.n_sealed_edges)
-        self._buf_sources = []
-        self._buf_targets = []
+        self._buf = []
+        self._n_buffered = 0
         if self.on_seal is not None:
             self.on_seal(path, sources, targets)
         return path
@@ -276,5 +288,5 @@ class SegmentWriter:
             (self.directory / name).unlink()
         self._sealed = self._sealed[: len(keep)]
         self._g_sealed_edges.set(self.n_sealed_edges)
-        self._buf_sources = []
-        self._buf_targets = []
+        self._buf = []
+        self._n_buffered = 0

@@ -18,9 +18,11 @@ the supervisor's only job is to classify each death and act on the
 * ``fatal`` — an unclassified failure (traceback, usage error); not
   worth retrying, stop as ``failed``.
 
-Liveness is tracked through the campaign's ``heartbeat.json``
-(re-written every :data:`~repro.store.campaign.HEARTBEAT_EVERY_PAGES`
-pages): a child whose heartbeat goes stale past
+Liveness is tracked through the campaign's ``heartbeat.json``, which
+the child writes when its store opens, at every checkpoint, and
+otherwise at most once per
+:data:`~repro.store.campaign.HEARTBEAT_EVERY_SECONDS` of wall time
+while pages land: a child whose heartbeat goes stale past
 ``heartbeat_timeout`` wall-seconds is declared stalled and SIGKILL'd —
 which the journal is built to survive, so a stall costs one restart,
 never data.

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.crawler.bfs import BidirectionalBFSCrawler, CrawlConfig
+from repro.crawler.bfs import BidirectionalBFSCrawler, CrawlConfig, CrawlHooks
+from repro.crawler.parse import ParsedProfile
+from repro.platform.pages import CircleListView
 from repro.synth import build_world, WorldConfig
 
 
@@ -94,3 +96,75 @@ class TestListDirections:
         ).crawl([world.seed_user_id()])
         recall = dataset.n_edges / world.graph.n_edges
         assert recall > 0.95
+
+
+class PageLog(CrawlHooks):
+    def __init__(self) -> None:
+        self.pages: list[tuple[int, ParsedProfile, list]] = []
+
+    def on_page(self, user_id, profile, new_edges) -> None:
+        self.pages.append((user_id, profile, new_edges))
+
+
+def per_entry_edges(pages, follow_in=True, follow_out=True):
+    """The per-entry dedup loop the crawler batches: one set probe per
+    list entry, self-loops skipped.  Yields each page's new edges."""
+    seen = set()
+    for user_id, profile, _ in pages:
+        edges = []
+        candidates = []
+        if follow_out and profile.out_list is not None:
+            candidates += [(user_id, v) for v in profile.out_list]
+        if follow_in and profile.in_list is not None:
+            candidates += [(u, user_id) for u in profile.in_list]
+        for u, v in candidates:
+            if u != v and (u, v) not in seen:
+                seen.add((u, v))
+                edges.append((u, v))
+        yield edges
+
+
+class TestBatchedEdgeDedup:
+    """Per-list batched dedup yields exactly the per-entry loop's edges,
+    page by page, even for lists holding repeats and the owner itself."""
+
+    @pytest.fixture(scope="class")
+    def noisy_world(self):
+        world = build_world(WorldConfig(n_users=800, seed=29, engine="fast"))
+        service = world.service
+        honest = service.circle_lists
+
+        def noisy(user_id):
+            # Repeat an entry and list the owner in both of its lists.
+            lists = []
+            for view in honest(user_id):
+                ids = view.user_ids + view.user_ids[:1] + (user_id,)
+                lists.append(CircleListView(ids, view.declared_count + 2))
+            return tuple(lists)
+
+        service.circle_lists = noisy
+        return world
+
+    @pytest.mark.parametrize(
+        "follow", [(True, True), (True, False), (False, True)], ids=str
+    )
+    def test_new_edges_match_the_per_entry_loop(self, noisy_world, follow):
+        follow_in, follow_out = follow
+        log = PageLog()
+        dataset = BidirectionalBFSCrawler(
+            noisy_world.frontend(),
+            CrawlConfig(
+                n_machines=2, follow_in_lists=follow_in, follow_out_lists=follow_out
+            ),
+        ).crawl([noisy_world.seed_user_id()], hooks=log)
+        assert any(uid in (p.out_list or ()) for uid, p, _ in log.pages)
+        expected = list(per_entry_edges(log.pages, follow_in, follow_out))
+        assert [edges for _, _, edges in log.pages] == expected
+        flat = [edge for edges in expected for edge in edges]
+        assert dataset.sources.tolist() == [u for u, _ in flat]
+        assert dataset.targets.tolist() == [v for _, v in flat]
+        assert all(
+            type(u) is int and type(v) is int
+            for _, _, edges in log.pages
+            for u, v in edges
+        )

@@ -94,3 +94,59 @@ class TestStateExport:
         state = frontier.export_state()
         assert state["seen"] == [1, 5, 9]
         assert state["queue"] == [9, 1, 5]  # FIFO order is preserved
+
+
+def sequential(frontier: BFSFrontier, user_ids) -> int:
+    """The per-id loop ``add_all`` batches: the oracle for its result."""
+    return sum(1 for uid in user_ids if frontier.add(uid))
+
+
+def drained(frontier: BFSFrontier) -> list:
+    return [frontier.pop() for _ in range(len(frontier))]
+
+
+class TestAddAllMatchesSequentialAdd:
+    """``add_all`` queues the same ids, in the same order, with the same
+    count, as calling ``add`` once per id."""
+
+    BATCHES = [
+        [],
+        [5, 1, 5, 3, 1],
+        [2, 2, 2],
+        list(range(50)) + list(range(25, 75)),
+        [np.int64(9), 9, np.int64(4), 4, 11],
+        [7, np.int64(7), True, 1, 0, False],
+    ]
+
+    def check(self, prefill, batches):
+        batched, oracle = BFSFrontier(), BFSFrontier()
+        for frontier in (batched, oracle):
+            for uid in prefill:
+                frontier.add(uid)
+            frontier.pop()  # one prefilled id is already visited
+        for batch in batches:
+            assert batched.add_all(batch) == sequential(oracle, batch)
+            assert batched.n_discovered == oracle.n_discovered
+        queued, expected = drained(batched), drained(oracle)
+        assert queued == expected
+        assert [type(uid) for uid in queued] == [type(uid) for uid in expected]
+        assert batched.export_state() == oracle.export_state()
+
+    def test_lists(self):
+        self.check([1, 3, 4], self.BATCHES)
+
+    def test_tuples_and_arrays(self):
+        self.check(
+            [0, 8],
+            [tuple(batch) for batch in self.BATCHES]
+            + [np.array([3, 8, 3, 12], dtype=np.int64)],
+        )
+
+    def test_generators_are_consumed_once(self):
+        batched, oracle = BFSFrontier(), BFSFrontier()
+        for frontier in (batched, oracle):
+            frontier.add(2)
+        assert batched.add_all(uid % 5 for uid in range(12)) == sequential(
+            oracle, (uid % 5 for uid in range(12))
+        )
+        assert drained(batched) == drained(oracle) == [2, 0, 1, 3, 4]

@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.crawler.parse import PageParseError, parse_profile_page, ParsedProfile
@@ -171,3 +172,90 @@ class TestCorruptPageHardening:
         profile = parse_profile_page(self.full_page())
         assert profile.user_id == 7
         assert profile.in_list == (1, 2)
+
+
+class _Id(int):
+    """An int subclass: not exactly ``int``, but a valid id."""
+
+
+def per_entry_parse(user_ids, declared):
+    """The per-entry validation loop, kept as the fast path's oracle."""
+    clean = []
+    for entry in user_ids:
+        if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
+            raise PageParseError(
+                f"page 7: out circle list holds a non-id entry {entry!r}"
+            )
+        clean.append(entry)
+    if not isinstance(declared, int) or isinstance(declared, bool) or declared < len(clean):
+        raise PageParseError(
+            f"page 7: out circle list declares an invalid count {declared!r} "
+            f"for {len(clean)} shown ids"
+        )
+    return tuple(clean), declared
+
+
+def outcome(parse, user_ids, declared):
+    """``("ok", ids, their types, declared)`` or ``("error", message)``."""
+    try:
+        ids, count = parse(user_ids, declared)
+    except PageParseError as error:
+        return ("error", str(error))
+    return ("ok", ids, [type(i) for i in ids], count)
+
+
+def via_page(user_ids, declared):
+    page = SimpleNamespace(
+        user_id=7,
+        name="Ada",
+        fields={},
+        in_list=None,
+        out_list=SimpleNamespace(user_ids=user_ids, declared_count=declared),
+    )
+    profile = parse_profile_page(page)
+    return profile.out_list, profile.declared_out
+
+
+class TestCircleListFastPath:
+    """The all-``int`` fast path answers exactly like the per-entry loop."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [],
+            [0],
+            [1, 2, 3],
+            [3, 3, 1, 2**40],
+            [1, True],
+            [False],
+            [1, -1],
+            [-5, 2],
+            [1, 2.0],
+            [1.0],
+            [1, "2"],
+            ["x"],
+            [np.int64(3)],
+            [1, np.int64(-3)],
+            [_Id(4), 5],
+            [_Id(-4)],
+            [1, None],
+            [[1], 2],
+        ],
+    )
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_same_result_or_same_message(self, entries, container):
+        ids = container(entries)
+        declared = len(entries) + 1
+        assert outcome(via_page, ids, declared) == outcome(
+            per_entry_parse, ids, declared
+        )
+
+    @pytest.mark.parametrize("declared", [0, 2, 5, -1, True, None, 2.0])
+    def test_declared_count_checks_are_unchanged(self, declared):
+        for ids in ([], [1, 2], (4, 5, 6)):
+            assert outcome(via_page, ids, declared) == outcome(
+                per_entry_parse, ids, declared
+            )
+
+    def test_list_and_tuple_parse_to_the_same_tuple(self):
+        assert via_page([4, 1, 4], 3) == via_page((4, 1, 4), 3) == ((4, 1, 4), 3)

@@ -8,9 +8,14 @@ uninterrupted run: same edge arrays, same profiles, same CrawlStats.
 
 from __future__ import annotations
 
+import json
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.crawler import BidirectionalBFSCrawler, CrawlDataset
+from repro.crawler.parse import ParsedProfile
 from repro.obs.metrics import Registry
 from repro.store import (
     CampaignConfig,
@@ -19,7 +24,16 @@ from repro.store import (
     SimulatedCrash,
     dataset_diff,
 )
-from repro.store.campaign import ARCHIVE_DIR
+from repro.store import campaign as campaign_module
+from repro.store.campaign import (
+    ARCHIVE_DIR,
+    HEARTBEAT_EVERY_SECONDS,
+    HEARTBEAT_NAME,
+    JOURNAL_NAME,
+    KIND_STATS,
+    CampaignStore,
+)
+from repro.store.journal import JournalWriter
 from repro.synth import build_world, WorldConfig
 
 #: Small but non-trivial: ~500 pages, a dozen checkpoints, several shards.
@@ -158,6 +172,50 @@ class TestCrashAndResume:
         # (page 90), not the last periodic checkpoint (page 80).
         assert registry.counter("store.replayed_pages", "").value() == 90
         assert registry.counter("store.checkpoints", "").value() > 0
+
+    def test_records_past_the_checkpoint_are_counted_and_dropped(self, tmp_path):
+        directory = tmp_path / "camp"
+        with pytest.raises(SimulatedCrash):
+            CrawlCampaign(directory, CONFIG).run(
+                registry=Registry(), crash_after_pages=90
+            )
+        journal_path = directory / JOURNAL_NAME
+        durable = journal_path.stat().st_size
+        with JournalWriter(journal_path, registry=Registry()) as journal:
+            for _ in range(5):  # written after the last checkpoint
+                journal.append(KIND_STATS, b"{}")
+        registry = Registry()
+        store = CampaignStore(directory, CONFIG, registry=registry)
+        store.journal.close()
+        assert registry.counter("store.rolled_back_records", "").value() == 5
+        assert registry.counter("store.replayed_pages", "").value() == 90
+        assert journal_path.stat().st_size == durable
+
+
+class TestHeartbeat:
+    def test_written_at_open_then_at_most_once_per_wall_second(
+        self, tmp_path, monkeypatch
+    ):
+        now = [1_000.0]
+        fake_time = SimpleNamespace(
+            monotonic=lambda: now[0], time=time.time, perf_counter=time.perf_counter
+        )
+        monkeypatch.setattr(campaign_module, "time", fake_time)
+        store = CampaignStore(tmp_path / "camp", CONFIG, registry=Registry())
+        beat = tmp_path / "camp" / HEARTBEAT_NAME
+
+        def beat_pages() -> int:
+            return json.loads(beat.read_text(encoding="utf-8"))["pages"]
+
+        assert beat_pages() == 0
+        profile = ParsedProfile(user_id=1, name="Ada")
+        for _ in range(50):
+            store.on_page(1, profile, [(1, 2)])
+        assert beat_pages() == 0  # still inside the same wall second
+        now[0] += HEARTBEAT_EVERY_SECONDS
+        store.on_page(1, profile, [(1, 2)])
+        assert beat_pages() == 51
+        store.journal.close()
 
 
 class TestCampaignDirectory:

@@ -212,3 +212,66 @@ class TestCompact:
         dataset = CrawlDataset.load(out)
         assert dataset.sources.tolist() == [1, 3, 5]
         assert dataset.targets.tolist() == [2, 4, 6]
+
+
+def _shard_bytes(directory) -> dict:
+    return {path.name: path.read_bytes() for path in iter_segment_paths(directory)}
+
+
+class TestBatchedExtend:
+    """``extend`` writes the same shards as one ``append`` per edge."""
+
+    EDGES = [(u, (u * 7 + 3) % 41) for u in range(0, 230)]
+    #: Page-sized batches; several span two or more 16-edge shards.
+    CUTS = [0, 3, 3, 40, 41, 90, 91, 92, 150, 230]
+
+    def per_edge(self, directory, registry):
+        writer = SegmentWriter(directory, shard_edges=16, registry=registry)
+        for u, v in self.EDGES:
+            writer.append(u, v)
+        writer.seal()
+        shards = _shard_bytes(directory)
+        # Independent of the writer: 16-edge slices written directly.
+        edges = np.array(self.EDGES, dtype=np.int64)
+        for index, lo in enumerate(range(0, len(edges), 16), start=1):
+            path = directory.parent / f"direct-{index}"
+            write_segment(path, edges[lo : lo + 16, 0], edges[lo : lo + 16, 1])
+            assert shards[f"seg-{index:06d}.edges"] == path.read_bytes()
+        return shards
+
+    @pytest.mark.parametrize("form", ["pairs", "array", "generator"])
+    def test_batches_spanning_shards_match_per_edge_append(
+        self, tmp_path, registry, form
+    ):
+        expected = self.per_edge(tmp_path / "per_edge", registry)
+        writer = SegmentWriter(tmp_path / "batched", shard_edges=16, registry=registry)
+        for lo, hi in zip(self.CUTS, self.CUTS[1:]):
+            batch = self.EDGES[lo:hi]
+            if form == "array":
+                batch = np.array(batch, dtype=np.int64).reshape(-1, 2)
+            elif form == "generator":
+                batch = (pair for pair in batch)
+            writer.extend(batch)
+            assert writer.n_buffered == hi % 16
+        writer.seal()
+        assert _shard_bytes(tmp_path / "batched") == expected
+        assert len(expected) == -(-len(self.EDGES) // 16)
+
+    def test_on_seal_sees_the_same_columns(self, tmp_path, registry):
+        seen = {"per_edge": [], "batched": []}
+        for name in seen:
+            writer = SegmentWriter(
+                tmp_path / name,
+                shard_edges=16,
+                registry=registry,
+                on_seal=lambda path, s, t, out=seen[name]: out.append(
+                    (s.tolist(), t.tolist(), s.dtype, t.flags.c_contiguous)
+                ),
+            )
+            if name == "per_edge":
+                for u, v in self.EDGES:
+                    writer.append(u, v)
+            else:
+                writer.extend(self.EDGES)
+            writer.seal()
+        assert seen["batched"] == seen["per_edge"]
