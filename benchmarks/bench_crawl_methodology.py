@@ -10,11 +10,14 @@ from repro.crawler.lost_edges import estimate_lost_edges, naive_truncation_loss
 from repro.synth import build_world, WorldConfig
 
 CAP = 150
+#: The world this module runs, stamped into its bench report.
+USERS = 4_000
+SEED = 31
 
 
 def test_crawl_and_lost_edges(benchmark, bench_results, artifact_sink):
     world = build_world(
-        WorldConfig(n_users=4_000, seed=31, circle_display_limit=CAP)
+        WorldConfig(n_users=USERS, seed=SEED, circle_display_limit=CAP)
     )
 
     def run():

@@ -28,6 +28,9 @@ CONFIG = CampaignConfig(
     n_machines=11,
     checkpoint_every_pages=500,
 )
+#: The world this module runs, stamped into its bench report.
+USERS = CONFIG.n_users
+SEED = CONFIG.seed
 
 
 def plain_crawl():

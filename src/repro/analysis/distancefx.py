@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crawler.dataset import CrawlDataset
-from repro.geo.index import GeoIndex
+from repro.geo.index import GeoIndex, LocatedEdges
 from repro.geo.pathmiles import (
     average_path_mile_by_country,
     compute_path_miles,
@@ -50,10 +50,13 @@ def analyze_path_miles(
     geo: GeoIndex,
     rng: np.random.Generator,
     max_pairs: int = 200_000,
+    edges: LocatedEdges | None = None,
 ) -> PathMileAnalysis:
-    """Figure 9a."""
+    """Figure 9a (``edges``: a prebuilt located-edge table)."""
     return PathMileAnalysis(
-        samples=compute_path_miles(dataset, geo, rng, max_pairs=max_pairs)
+        samples=compute_path_miles(
+            dataset, geo, rng, max_pairs=max_pairs, edges=edges
+        )
     )
 
 
@@ -71,9 +74,12 @@ class CountryPathMiles:
 
 
 def analyze_country_path_miles(
-    dataset: CrawlDataset, geo: GeoIndex, countries: list[str]
+    dataset: CrawlDataset,
+    geo: GeoIndex,
+    countries: list[str],
+    edges: LocatedEdges | None = None,
 ) -> CountryPathMiles:
-    """Figure 9b."""
+    """Figure 9b (``edges``: a prebuilt located-edge table)."""
     return CountryPathMiles(
-        stats=average_path_mile_by_country(dataset, geo, countries)
+        stats=average_path_mile_by_country(dataset, geo, countries, edges=edges)
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.crawler.dataset import CrawlDataset
 from repro.geo.country_links import build_country_link_graph, CountryLinkGraph
-from repro.geo.index import GeoIndex
+from repro.geo.index import GeoIndex, LocatedEdges
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,12 @@ class LinkGeographyAnalysis:
 
 
 def analyze_link_geography(
-    dataset: CrawlDataset, geo: GeoIndex, countries: list[str]
+    dataset: CrawlDataset,
+    geo: GeoIndex,
+    countries: list[str],
+    edges: LocatedEdges | None = None,
 ) -> LinkGeographyAnalysis:
-    """Figure 10."""
+    """Figure 10 (``edges``: a prebuilt located-edge table)."""
     return LinkGeographyAnalysis(
-        graph=build_country_link_graph(dataset, geo, countries)
+        graph=build_country_link_graph(dataset, geo, countries, edges=edges)
     )

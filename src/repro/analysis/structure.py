@@ -183,10 +183,12 @@ def google_plus_table4_row(
     path_samples: int = 2_000,
     paths: PathLengthAnalysis | None = None,
     engine: BFSEngine | None = None,
+    sccs: SCCAnalysis | None = None,
 ) -> GraphSummary:
     """The measured Google+ row of Table 4.
 
     Pass the Figure 5 result via ``paths`` to reuse its BFS sampling,
+    the Figure 4c result via ``sccs`` to reuse its SCC decomposition,
     and ``engine`` to share a BFS worker pool with the other analyses.
     """
     return summarize_graph(
@@ -196,4 +198,5 @@ def google_plus_table4_row(
         precomputed_directed=paths.directed if paths else None,
         precomputed_undirected=paths.undirected if paths else None,
         engine=engine,
+        sccs=sccs.decomposition if sccs is not None else None,
     )

@@ -6,7 +6,12 @@
 2. crawl it bidirectionally over the simulated HTTP front end,
 3. freeze the crawl into the social graph ``G(V, E)``,
 4. resolve the located users,
-5. run every analysis of Sections 3 and 4.
+5. run every analysis of Sections 3 and 4,
+6. with the generating world at hand, run the Section 7 extensions
+   (growth snapshots and content diffusion) as data beside it.
+
+The study only reads the world: every artifact renders from the
+returned :class:`StudyResults`.
 
 Typical use::
 
@@ -35,12 +40,14 @@ from repro.analysis.distancefx import (
     CountryPathMiles,
     PathMileAnalysis,
 )
+from repro.analysis.diffusion import analyze_diffusion, DiffusionAnalysis
 from repro.analysis.geo_dist import (
     CountryShare,
     penetration_analysis,
     PenetrationAnalysis,
     top_countries,
 )
+from repro.analysis.growth import analyze_growth, GrowthAnalysis
 from repro.analysis.linkgeo import analyze_link_geography, LinkGeographyAnalysis
 from repro.analysis.openness import openness_by_country, OpennessAnalysis
 from repro.analysis.structure import (
@@ -71,12 +78,14 @@ from repro.analysis.top_users import (
 from repro.crawler.bfs import BidirectionalBFSCrawler, CrawlConfig
 from repro.crawler.dataset import CrawlDataset
 from repro.crawler.lost_edges import estimate_lost_edges, LostEdgeEstimate
-from repro.geo.index import build_geo_index, GeoIndex
+from repro.geo.index import build_geo_index, GeoIndex, locate_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.parallel import BFSEngine
 from repro.obs import trace
 from repro.graph.stats import GraphSummary
+from repro.synth.activity import simulate_activity
 from repro.synth.countries import TOP10_CODES
+from repro.synth.growth import build_timeline
 from repro.synth.world import build_world, SyntheticWorld, WorldConfig
 
 
@@ -140,6 +149,9 @@ class StudyResults:
     fig10_links: LinkGeographyAnalysis
     table5_occupations: list[CountryTopRow]
     extras: dict = dataclass_field(default_factory=dict)
+    # Section 7 extensions; None when the dataset has no generating world.
+    growth: GrowthAnalysis | None = None
+    diffusion: DiffusionAnalysis | None = None
 
 
 class MeasurementStudy:
@@ -204,17 +216,18 @@ class MeasurementStudy:
                     engine=engine,
                 )
             with trace.span("study.analyze.structure"):
+                fig4c_sccs = analyze_sccs(graph)
                 table4_row = google_plus_table4_row(
                     graph,
                     rng,
                     path_samples=config.path_sample_max,
                     paths=fig5,
+                    sccs=fig4c_sccs,
                     engine=engine,
                 )
                 fig3_degrees = analyze_degrees(graph)
                 fig4a_reciprocity = analyze_reciprocity(graph)
                 fig4b_clustering = analyze_clustering(graph, rng)
-                fig4c_sccs = analyze_sccs(graph)
         finally:
             engine.close()
         with trace.span("study.analyze.profiles"):
@@ -227,14 +240,24 @@ class MeasurementStudy:
             fig6_countries = top_countries(geo, k=10)
             fig7_penetration = penetration_analysis(geo)
             fig8_openness = openness_by_country(dataset, geo, top10)
+            # One located-edge table feeds Figures 9a, 9b and 10.
+            located = locate_edges(dataset, geo)
             fig9a_path_miles = analyze_path_miles(
-                dataset, geo, rng, max_pairs=config.path_mile_pairs
+                dataset, geo, rng, max_pairs=config.path_mile_pairs, edges=located
             )
-            fig9b_country_miles = analyze_country_path_miles(dataset, geo, top10)
-            fig10_links = analyze_link_geography(dataset, geo, top10)
+            fig9b_country_miles = analyze_country_path_miles(
+                dataset, geo, top10, edges=located
+            )
+            fig10_links = analyze_link_geography(dataset, geo, top10, edges=located)
             table5_occupations = top_occupations_by_country(
                 dataset, graph, geo, top10
             )
+        growth = diffusion = None
+        if world is not None:
+            with trace.span("study.analyze.growth"):
+                growth = growth_stage(world)
+            with trace.span("study.analyze.diffusion"):
+                diffusion = diffusion_stage(world)
         return StudyResults(
             config=config,
             dataset=dataset,
@@ -259,7 +282,27 @@ class MeasurementStudy:
             fig10_links=fig10_links,
             table5_occupations=table5_occupations,
             extras={"world": world},
+            growth=growth,
+            diffusion=diffusion,
         )
+
+
+def growth_stage(world: SyntheticWorld) -> GrowthAnalysis:
+    """Section 7 growth: topology snapshots along the world's adoption
+    arc (own seeds, so it draws nothing from the study's stream)."""
+    timeline = build_timeline(
+        world.graph, world.config.field_trial_fraction, seed=world.config.seed + 7
+    )
+    return analyze_growth(
+        timeline, seed=world.config.seed + 8, n_snapshots=6, path_samples=120
+    )
+
+
+def diffusion_stage(world: SyntheticWorld) -> DiffusionAnalysis:
+    """Section 7 diffusion: posting and reshare cascades over the
+    world's circles, simulated as data (the service is only read)."""
+    log = simulate_activity(world, seed=world.config.seed + 9, max_users=10_000)
+    return analyze_diffusion(log, world.population, countries=list(TOP10_CODES))
 
 
 def run_study(

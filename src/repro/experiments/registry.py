@@ -3,7 +3,8 @@
 One entry per table/figure (plus the Section 2.2 methodology check).
 Each renderer turns a :class:`~repro.core.pipeline.StudyResults` into the
 text form of the artifact — the same rows/series the paper reports —
-with the paper's reference numbers printed alongside.
+with the paper's reference numbers printed alongside.  Renderers only
+format: every number they print was computed by the study.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from repro.core.paper_tables import GooglePlusPaper as P, TABLE4_ROWS
 from repro.core.pipeline import StudyResults
 from repro.graph.degree import cdf
+from repro.synth.growth import OPEN_SIGNUP_DAY
 
 from .render import (
     AsciiPlot,
@@ -428,18 +430,9 @@ def _methodology(r: StudyResults) -> str:
 
 
 def _ext_growth(r: StudyResults) -> str:
-    from repro.analysis.growth import analyze_growth
-    from repro.synth.growth import build_timeline, OPEN_SIGNUP_DAY
-
-    world = r.extras.get("world")
-    if world is None:
+    growth = r.growth
+    if growth is None:
         return "(growth study requires the generating world; not available)"
-    timeline = build_timeline(
-        world.graph, world.config.field_trial_fraction, seed=world.config.seed + 7
-    )
-    growth = analyze_growth(
-        timeline, seed=world.config.seed + 8, n_snapshots=6, path_samples=120
-    )
     rows = [
         (
             f"{s.day:.0f}",
@@ -465,15 +458,9 @@ def _ext_growth(r: StudyResults) -> str:
 
 
 def _ext_diffusion(r: StudyResults) -> str:
-    from repro.analysis.diffusion import analyze_diffusion
-    from repro.synth.activity import simulate_activity
-    from repro.synth.countries import TOP10_CODES
-
-    world = r.extras.get("world")
-    if world is None:
+    analysis = r.diffusion
+    if analysis is None:
         return "(diffusion study requires the generating world; not available)"
-    log = simulate_activity(world, seed=world.config.seed + 9, max_users=10_000)
-    analysis = analyze_diffusion(log, world.population, countries=list(TOP10_CODES))
     reach = analysis.reach
     rows = [
         (code, activity.n_posts, percent(activity.public_share),

@@ -41,10 +41,15 @@ def save_artifacts(
     artifact_ids: Iterable[str] | None = None,
 ) -> list[Path]:
     """Render artifacts to ``<directory>/<id>.txt``; returns the paths."""
+    return write_artifacts(run_experiments(results, artifact_ids), directory)
+
+
+def write_artifacts(artifacts: dict[str, str], directory: str | Path) -> list[Path]:
+    """Write already-rendered artifacts to ``<directory>/<id>.txt``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for artifact_id, text in run_experiments(results, artifact_ids).items():
+    for artifact_id, text in artifacts.items():
         path = directory / f"{artifact_id}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         written.append(path)
@@ -194,14 +199,15 @@ def main(argv: list[str] | None = None) -> int:
             config={"users": args.users, "seed": args.seed, "engine": args.engine},
         )
     results = study.run(hooks=telemetry)
-    for artifact_id, text in run_experiments(results, args.artifacts or None).items():
+    artifacts = run_experiments(results, args.artifacts or None)
+    for artifact_id, text in artifacts.items():
         print(f"\n=== {artifact_id}: {EXPERIMENTS[artifact_id].title} ===")
         print(text)
     if args.compare:
         print()
         print(render_comparison_table(results))
     if args.save:
-        written = save_artifacts(results, args.save, args.artifacts or None)
+        written = write_artifacts(artifacts, args.save)
         print(f"\nwrote {len(written)} artifacts to {args.save}")
     if args.report or args.live:
         report_path = save_run_report(results, args.save, live=telemetry)

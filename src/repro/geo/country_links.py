@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.crawler.dataset import CrawlDataset
 
-from .index import GeoIndex
+from .index import country_slots, GeoIndex, LocatedEdges, locate_edges
 
 
 @dataclass(frozen=True)
@@ -47,32 +47,25 @@ class CountryLinkGraph:
 
 
 def build_country_link_graph(
-    dataset: CrawlDataset, index: GeoIndex, countries: list[str]
+    dataset: CrawlDataset,
+    index: GeoIndex,
+    countries: list[str],
+    edges: LocatedEdges | None = None,
 ) -> CountryLinkGraph:
-    """Aggregate the located edges of a crawl into the Figure 10 matrix."""
-    code_index = {code: i for i, code in enumerate(countries)}
+    """Aggregate the located edges of a crawl into the Figure 10 matrix
+    (``edges`` passes in the located-edge table when already built)."""
+    if edges is None:
+        edges = locate_edges(dataset, index)
     k = len(countries)
-    counts = np.zeros((k, k), dtype=np.int64)
-    position = index.position_of
-    for u, v in zip(dataset.sources, dataset.targets):
-        a = position.get(int(u))
-        b = position.get(int(v))
-        if a is None or b is None:
-            continue
-        i = code_index.get(index.countries[a])
-        j = code_index.get(index.countries[b])
-        if i is None or j is None:
-            continue
-        counts[i, j] += 1
+    slots = country_slots(index, countries)
+    i, j = slots[edges.pos_a], slots[edges.pos_b]
+    both = (i >= 0) & (j >= 0)
+    counts = np.bincount(i[both] * k + j[both], minlength=k * k).reshape(k, k)
     row_sums = counts.sum(axis=1, keepdims=True)
     weights = np.divide(
         counts, np.maximum(row_sums, 1), dtype=float, casting="unsafe"
     )
-    user_counts = np.zeros(k, dtype=np.int64)
-    for code in index.countries:
-        i = code_index.get(code)
-        if i is not None:
-            user_counts[i] += 1
+    user_counts = np.bincount(slots[slots >= 0], minlength=k)
     total_users = max(1, int(user_counts.sum()))
     return CountryLinkGraph(
         countries=tuple(countries),

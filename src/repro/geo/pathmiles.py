@@ -20,7 +20,7 @@ import numpy as np
 from repro.crawler.dataset import CrawlDataset
 
 from .distance import pairwise_miles
-from .index import GeoIndex
+from .index import country_slots, GeoIndex, LocatedEdges, locate_edges
 
 
 @dataclass(frozen=True)
@@ -38,20 +38,12 @@ class PathMileSamples:
         return float((sample <= miles).mean())
 
 
-def _located_edges(
-    dataset: CrawlDataset, index: GeoIndex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge endpoint positions in the geo index, for edges fully located."""
-    position = index.position_of
-    pos_a: list[int] = []
-    pos_b: list[int] = []
-    for u, v in zip(dataset.sources, dataset.targets):
-        a = position.get(int(u))
-        b = position.get(int(v))
-        if a is not None and b is not None:
-            pos_a.append(a)
-            pos_b.append(b)
-    return np.array(pos_a, dtype=np.int64), np.array(pos_b, dtype=np.int64)
+def _linked(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which packed pair keys occur in the sorted array ``keys``."""
+    if len(keys) == 0:
+        return np.zeros(len(queries), dtype=bool)
+    slot = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return keys[slot] == queries
 
 
 def compute_path_miles(
@@ -59,22 +51,24 @@ def compute_path_miles(
     index: GeoIndex,
     rng: np.random.Generator,
     max_pairs: int = 200_000,
+    edges: LocatedEdges | None = None,
 ) -> PathMileSamples:
     """Compute the Figure 9a samples from a crawl dataset.
 
     ``max_pairs`` caps each population (the paper used 60M / 13M / 20M
     pairs; proportionally smaller caps keep laptop runs fast without
-    changing the distributions).
+    changing the distributions).  ``edges`` passes in the located-edge
+    table when the caller already built it.
     """
-    pos_a, pos_b = _located_edges(dataset, index)
+    if edges is None:
+        edges = locate_edges(dataset, index)
+    pos_a, pos_b = edges.pos_a, edges.pos_b
+    n = index.n_located
 
-    # Reciprocal pairs: both directions present among located edges.
-    forward = set(zip(pos_a.tolist(), pos_b.tolist()))
-    reciprocal_mask = np.fromiter(
-        ((b, a) in forward for a, b in zip(pos_a, pos_b)),
-        dtype=bool,
-        count=len(pos_a),
-    )
+    # Located links as sorted keys a*n+b.  Reciprocal pairs: the reverse
+    # key is present too.
+    keys = np.unique(pos_a * n + pos_b)
+    reciprocal_mask = _linked(keys, pos_b * n + pos_a)
 
     def subsample(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(a) > max_pairs:
@@ -86,7 +80,6 @@ def compute_path_miles(
     ra, rb = subsample(pos_a[reciprocal_mask], pos_b[reciprocal_mask])
 
     # Random unlinked pairs among located users.
-    n = index.n_located
     random_a = np.empty(0, dtype=np.int64)
     random_b = np.empty(0, dtype=np.int64)
     if n >= 2:
@@ -94,11 +87,7 @@ def compute_path_miles(
         a = rng.integers(0, n, size=want)
         b = rng.integers(0, n, size=want)
         valid = a != b
-        linked = np.fromiter(
-            ((x, y) in forward or (y, x) in forward for x, y in zip(a, b)),
-            dtype=bool,
-            count=want,
-        )
+        linked = _linked(keys, a * n + b) | _linked(keys, b * n + a)
         keep = valid & ~linked
         random_a, random_b = a[keep][:max_pairs], b[keep][:max_pairs]
 
@@ -111,20 +100,25 @@ def compute_path_miles(
 
 
 def average_path_mile_by_country(
-    dataset: CrawlDataset, index: GeoIndex, countries: list[str]
+    dataset: CrawlDataset,
+    index: GeoIndex,
+    countries: list[str],
+    edges: LocatedEdges | None = None,
 ) -> dict[str, tuple[float, float]]:
     """Figure 9b: mean and standard deviation of friend-pair distances,
     grouped by the *source* user's country."""
-    pos_a, pos_b = _located_edges(dataset, index)
-    by_country: dict[str, list[float]] = {code: [] for code in countries}
-    distances = pairwise_miles(index.latitudes, index.longitudes, pos_a, pos_b)
-    for a, miles in zip(pos_a, distances):
-        code = index.countries[int(a)]
-        if code in by_country:
-            by_country[code].append(float(miles))
+    if edges is None:
+        edges = locate_edges(dataset, index)
+    distances = pairwise_miles(
+        index.latitudes, index.longitudes, edges.pos_a, edges.pos_b
+    )
+    slots = country_slots(index, countries)[edges.pos_a]
+    slot_of = {code: i for i, code in enumerate(countries)}
     result: dict[str, tuple[float, float]] = {}
     for code in countries:
-        values = np.array(by_country[code])
+        # Crawl order within each country, so mean/std sum the same
+        # elements in the same order as a per-edge walk would.
+        values = distances[slots == slot_of[code]]
         if len(values) == 0:
             result[code] = (float("nan"), float("nan"))
         else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import strongly_connected_components
+from .components import ComponentDecomposition, strongly_connected_components
 from .csr import CSRGraph
 from .parallel import BFSEngine
 from .paths import DIRECTED, UNDIRECTED, estimate_diameter, sampled_path_lengths
@@ -45,13 +45,15 @@ def summarize_graph(
     precomputed_directed=None,
     precomputed_undirected=None,
     engine: BFSEngine | None = None,
+    sccs: ComponentDecomposition | None = None,
 ) -> GraphSummary:
     """Compute the full structural summary of a graph.
 
     ``path_samples`` caps the BFS-source count for the path-length
     estimates; the convergence procedure of Section 3.3.5 may stop
     earlier. Callers that already ran the Figure 5 sampling can pass the
-    two distributions in to avoid recomputing them, and an ``engine``
+    two distributions in to avoid recomputing them, an SCC
+    decomposition via ``sccs`` for the same reason, and an ``engine``
     to share one BFS worker pool across every sweep.
     """
     own_engine = engine is None
@@ -74,7 +76,8 @@ def summarize_graph(
             mode=UNDIRECTED,
             engine=engine,
         )
-        sccs = strongly_connected_components(graph)
+        if sccs is None:
+            sccs = strongly_connected_components(graph)
         mean_degree = graph.n_edges / graph.n if graph.n else 0.0
         return GraphSummary(
             n_nodes=graph.n,

@@ -5,13 +5,15 @@ social networks, we would like to understand how different privacy
 settings and openness impact the types of conversations and the patterns
 of content sharing."*
 
-This module generates posting and resharing activity *through the
-platform API* (:class:`repro.platform.service.GooglePlusService`): users
-publish posts — public or scoped to one of their circles, with the
-public/scoped split driven by the same per-country openness culture that
-shapes their profiles — and content then cascades: followers who can see
-a post may +1 it or reshare it to their own audience, reshares of
-reshares forming diffusion trees. The analysis side lives in
+This module generates posting and resharing activity as data beside the
+graph, reading the platform (:class:`repro.platform.service.GooglePlusService`)
+but never writing to it: users publish posts — public or scoped to one
+of their circles, with the public/scoped split driven by the same
+per-country openness culture that shapes their profiles — and content
+then cascades: followers who can see a post may +1 it or reshare it to
+their own audience, reshares of reshares forming diffusion trees.  The
+posts live in the returned :class:`ActivityLog`, so a simulation leaves
+the world it reads exactly as it found it.  The analysis side lives in
 :mod:`repro.analysis.diffusion`.
 """
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.platform.service import GooglePlusService, Post
+from repro.platform.service import GooglePlusService
 
 from .world import SyntheticWorld
 
@@ -74,12 +76,18 @@ class Cascade:
 
 @dataclass
 class ActivityLog:
-    """The full product of one activity simulation."""
+    """The full product of one activity simulation.
+
+    ``posts`` maps each post id (local to this log, numbered from 1 in
+    creation order) to the id of the post it reshares, or ``None`` for
+    an original post.
+    """
 
     cascades: list[Cascade]
     n_posts: int = 0
     n_reshares: int = 0
     n_plus_ones: int = 0
+    posts: dict[int, int | None] = field(default_factory=dict)
 
     def public_cascades(self) -> list[Cascade]:
         return [c for c in self.cascades if c.is_public]
@@ -87,19 +95,24 @@ class ActivityLog:
     def scoped_cascades(self) -> list[Cascade]:
         return [c for c in self.cascades if not c.is_public]
 
+    def add_post(self, reshared_from: int | None = None) -> int:
+        """Record a new post; returns its id."""
+        post_id = len(self.posts) + 1
+        self.posts[post_id] = reshared_from
+        return post_id
+
 
 def _audience_of(
     service: GooglePlusService,
     user_id: int,
     rng: np.random.Generator,
     cap: int,
-) -> list[int]:
+) -> np.ndarray:
     """A sample of a user's followers who would see a new post."""
-    followers = service.followers(user_id)
+    followers = np.asarray(service.followers(user_id), dtype=np.int64)
     if len(followers) <= cap:
         return followers
-    chosen = rng.choice(len(followers), size=cap, replace=False)
-    return [followers[i] for i in chosen]
+    return followers[rng.choice(len(followers), size=cap, replace=False)]
 
 
 def simulate_activity(
@@ -112,7 +125,8 @@ def simulate_activity(
 
     ``max_users`` limits how many users author original posts (highest
     ids first are skipped), which keeps large worlds affordable; the
-    engagement side always uses the full follower structure.
+    engagement side always uses the full follower structure.  The
+    service is only read (followers, circle names, circle membership).
     """
     config = config if config is not None else ActivityConfig()
     rng = np.random.default_rng(seed)
@@ -123,15 +137,11 @@ def simulate_activity(
     post_counts = rng.poisson(
         config.posts_per_user * np.minimum(population.disclosure[:n_authors], 3.0)
     )
-    log = ActivityLog(cascades=[])
+    cascades = _CascadeRunner(service, population, config, rng)
     for author_id in range(n_authors):
         for _ in range(int(post_counts[author_id])):
-            cascade = _run_cascade(service, population, author_id, config, rng)
-            log.cascades.append(cascade)
-            log.n_posts += 1
-            log.n_reshares += len(cascade.reshare_post_ids)
-            log.n_plus_ones += cascade.plus_ones
-    return log
+            cascades.run(author_id)
+    return cascades.log
 
 
 def _pick_visibility(
@@ -144,48 +154,79 @@ def _pick_visibility(
     return frozenset({"friends"})
 
 
-def _run_cascade(
-    service: GooglePlusService,
-    population,
-    author_id: int,
-    config: ActivityConfig,
-    rng: np.random.Generator,
-) -> Cascade:
-    to_circles = _pick_visibility(population, author_id, config, rng)
-    root = service.publish(author_id, f"post by {author_id}", to_circles=to_circles)
-    cascade = Cascade(
-        root_post_id=root.post_id,
-        author_id=author_id,
-        is_public=to_circles is None,
-    )
-    seen: set[int] = {author_id}
-    # Queue of (post, poster, depth): followers of `poster` may engage.
-    queue: deque[tuple[Post, int, int]] = deque([(root, author_id, 0)])
-    while queue:
-        post, poster, depth = queue.popleft()
-        if cascade.size >= config.max_cascade_size:
-            break
-        audience = _audience_of(service, poster, rng, config.max_audience_sample)
-        reshare_p = config.reshare_prob * config.reshare_depth_decay**depth
-        rolls = rng.random((len(audience), 2))
-        for follower, (reshare_roll, plus_roll) in zip(audience, rolls):
-            if follower in seen:
-                continue
-            if not service.can_view_post(post.post_id, follower):
-                continue
-            seen.add(follower)
-            if plus_roll < config.plus_one_prob:
-                service.plus_one(follower, post.post_id)
-                cascade.plus_ones += 1
-            if reshare_roll < reshare_p:
-                reshare = service.publish(
-                    follower,
-                    f"reshare of {post.post_id}",
-                    reshared_from=post.post_id,
-                )
-                cascade.reshare_post_ids.append(reshare.post_id)
+class _CascadeRunner:
+    """Grows cascades over a service it only reads, into one log."""
+
+    def __init__(self, service, population, config: ActivityConfig, rng):
+        self.service = service
+        self.population = population
+        self.config = config
+        self.rng = rng
+        self.log = ActivityLog(cascades=[])
+        # One "has seen this cascade" flag per user, cleared after each
+        # cascade at exactly the users it reached.
+        self.seen = np.zeros(population.n, dtype=bool)
+
+    def _cover(self, users: np.ndarray) -> None:
+        """Grow ``seen`` to hold every id in ``users``."""
+        top = int(users.max()) if len(users) else -1
+        if top >= len(self.seen):
+            grown = np.zeros(top + 1, dtype=bool)
+            grown[: len(self.seen)] = self.seen
+            self.seen = grown
+
+    def run(self, author_id: int) -> Cascade:
+        service, config, rng, log = self.service, self.config, self.rng, self.log
+        to_circles = _pick_visibility(self.population, author_id, config, rng)
+        if to_circles is not None:
+            unknown = to_circles - set(service.circle_names(author_id))
+            if unknown:
+                raise ValueError(f"author has no circles named {sorted(unknown)}")
+        cascade = Cascade(
+            root_post_id=log.add_post(),
+            author_id=author_id,
+            is_public=to_circles is None,
+        )
+        reached = [np.array([author_id], dtype=np.int64)]
+        self._cover(reached[0])
+        self.seen[author_id] = True
+        # Queue of (post, poster, depth): followers of `poster` may engage.
+        queue = deque([(cascade.root_post_id, author_id, 0)])
+        while queue:
+            post_id, poster, depth = queue.popleft()
+            if cascade.size >= config.max_cascade_size:
+                break
+            audience = _audience_of(service, poster, rng, config.max_audience_sample)
+            reshare_p = config.reshare_prob * config.reshare_depth_decay**depth
+            rolls = rng.random((len(audience), 2))
+            self._cover(audience)
+            # Followers are distinct, so one mask pass equals the
+            # follower-by-follower walk.
+            offered = np.flatnonzero(~self.seen[audience])
+            if depth == 0 and to_circles is not None:
+                # Only the root can be scoped: reshares are public.
+                visible = [
+                    any(service.member_of(author_id, follower, name) for name in to_circles)
+                    for follower in audience[offered].tolist()
+                ]
+                offered = offered[np.array(visible, dtype=bool)]
+            viewers = audience[offered]
+            self.seen[viewers] = True
+            reached.append(viewers)
+            cascade.plus_ones += int(np.count_nonzero(rolls[offered, 1] < config.plus_one_prob))
+            resharers = viewers[rolls[offered, 0] < reshare_p].tolist()
+            for follower in resharers:
+                reshare_id = log.add_post(reshared_from=post_id)
+                cascade.reshare_post_ids.append(reshare_id)
                 cascade.resharer_ids.append(follower)
+                queue.append((reshare_id, follower, depth + 1))
+            if resharers:
                 cascade.depth = max(cascade.depth, depth + 1)
-                queue.append((reshare, follower, depth + 1))
-    cascade.audience = len(seen) - 1
-    return cascade
+        reached_ids = np.concatenate(reached)
+        self.seen[reached_ids] = False
+        cascade.audience = len(reached_ids) - 1
+        log.cascades.append(cascade)
+        log.n_posts += 1
+        log.n_reshares += len(cascade.reshare_post_ids)
+        log.n_plus_ones += cascade.plus_ones
+        return cascade

@@ -22,8 +22,11 @@ class TestExtensionRenderers:
         assert "political campaigns viable" in text
 
     def test_world_dependent_renderers_degrade_gracefully(self, study_results):
-        """A StudyResults built from a foreign dataset has no world."""
-        detached = dataclasses.replace(study_results, extras={})
+        """A StudyResults built from a foreign dataset has no world, so
+        no growth or diffusion stage ran."""
+        detached = dataclasses.replace(
+            study_results, extras={}, growth=None, diffusion=None
+        )
         assert "not available" in EXPERIMENTS["ext_growth"].render(detached)
         assert "not available" in EXPERIMENTS["ext_diffusion"].render(detached)
         # Implications only need measured artifacts, so they still work.

@@ -18,3 +18,26 @@ class TestSaveArtifacts:
         target = tmp_path / "deep" / "dir"
         save_artifacts(study_results, target, ["fig3"])
         assert (target / "fig3.txt").exists()
+
+
+class TestCliSave:
+    def test_save_renders_each_artifact_once(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        from repro.experiments.registry import EXPERIMENTS
+        from repro.experiments.runner import main
+
+        calls = []
+        original = EXPERIMENTS["table2"]
+
+        def counting(results):
+            calls.append(results)
+            return original.render(results)
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "table2", dataclasses.replace(original, render=counting)
+        )
+        assert main(["--users", "1200", "--seed", "3", "--save", str(tmp_path), "table2"]) == 0
+        assert len(calls) == 1
+        saved = (tmp_path / "table2.txt").read_text(encoding="utf-8")
+        assert saved.rstrip("\n") in capsys.readouterr().out

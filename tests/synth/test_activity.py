@@ -21,20 +21,22 @@ class TestSimulation:
         )
         assert log.n_plus_ones == sum(c.plus_ones for c in log.cascades)
 
-    def test_posts_exist_in_service(self, small_world, log):
-        service = small_world.service
-        cascade = log.cascades[0]
-        assert service.can_view_post(cascade.root_post_id, cascade.author_id)
+    def test_posts_exist_in_log(self, log):
+        assert len(log.posts) == log.n_posts + log.n_reshares
+        for cascade in log.cascades:
+            assert log.posts[cascade.root_post_id] is None
 
     def test_public_and_scoped_posts_both_occur(self, log):
         assert log.public_cascades()
         assert log.scoped_cascades()
 
-    def test_reshares_reference_parents(self, small_world, log):
-        service = small_world.service
+    def test_reshares_reference_parents(self, log):
         for cascade in log.cascades[:100]:
+            tree = {cascade.root_post_id, *cascade.reshare_post_ids}
             for post_id in cascade.reshare_post_ids:
-                assert service._posts[post_id].reshared_from is not None
+                parent = log.posts[post_id]
+                assert parent is not None
+                assert parent in tree and parent < post_id
 
     def test_cascade_structure(self, log):
         for cascade in log.cascades:
