@@ -8,7 +8,10 @@ the paper reports) to ``benchmarks/output/<artifact>.txt``.
 The harness also records every bench's wall time: each ``bench_<name>``
 module gets a ``benchmarks/output/BENCH_<name>.json`` run report (see
 :mod:`repro.obs.report`), so the perf trajectory of each artifact is
-tracked file-by-file across PRs.
+tracked file-by-file across PRs.  A report's metrics are those recorded
+while its own module's benches ran: the registry is reset before each
+bench and its snapshot folded into the module's afterwards, so neither
+session fixtures (the shared study) nor other modules leak in.
 """
 
 from __future__ import annotations
@@ -41,15 +44,70 @@ _BENCH_CONFIG: dict[str, dict] = {}
 #: (e.g. the fig5 bench records its sequential-vs-parallel speedup).
 _BENCH_EXTRA: dict[str, dict] = {}
 
+#: Per-module registry snapshot of the metrics its benches recorded.
+_BENCH_METRICS: dict[str, dict] = {}
+
+
+def _merge_sample(kind: str, held: dict, new: dict) -> dict:
+    """One series recorded over two benches: counters and histograms
+    add up, a gauge keeps its latest value."""
+    if kind == "gauge":
+        return new
+    if kind == "counter":
+        return held + new
+    extremes = [v for v in (held["min"], new["min"]) if v is not None]
+    peaks = [v for v in (held["max"], new["max"]) if v is not None]
+    return {
+        **new,
+        "count": held["count"] + new["count"],
+        "sum": held["sum"] + new["sum"],
+        "min": min(extremes, default=None),
+        "max": max(peaks, default=None),
+        "cumulative_counts": [
+            a + b for a, b in zip(held["cumulative_counts"], new["cumulative_counts"])
+        ],
+    }
+
+
+def _merge_snapshots(held: dict | None, new: dict) -> dict:
+    """Fold registry snapshot ``new`` into a module's ``held`` one."""
+    if held is None:
+        return new
+    metrics = {metric["name"]: metric for metric in held["metrics"]}
+    for metric in new["metrics"]:
+        previous = metrics.setdefault(metric["name"], metric)
+        if previous is metric:
+            continue
+        series = {tuple(s["labels"].values()): s for s in previous["samples"]}
+        for sample in metric["samples"]:
+            key = tuple(sample["labels"].values())
+            if key in series:
+                sample = {
+                    "labels": sample["labels"],
+                    "value": _merge_sample(
+                        metric["kind"], series[key]["value"], sample["value"]
+                    ),
+                }
+            series[key] = sample
+        previous["samples"] = [series[key] for key in sorted(series)]
+    return {**new, "metrics": [metrics[name] for name in sorted(metrics)]}
+
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
-    """Time every bench and collect it as a run-report phase."""
+    """Time every bench and collect it as a run-report phase, with the
+    metrics it recorded."""
+    module = Path(str(item.fspath)).stem
+    is_bench = module.startswith("bench_")
+    if is_bench:
+        get_registry().reset()
     start = time.perf_counter()
     yield
     elapsed = time.perf_counter() - start
-    module = Path(str(item.fspath)).stem
-    if module.startswith("bench_"):
+    if is_bench:
+        _BENCH_METRICS[module] = _merge_snapshots(
+            _BENCH_METRICS.get(module), get_registry().snapshot()
+        )
         _BENCH_CONFIG[module] = {
             "users": getattr(item.module, "USERS", BENCH_USERS),
             "seed": getattr(item.module, "SEED", BENCH_SEED),
@@ -75,7 +133,7 @@ def pytest_sessionfinish(session, exitstatus):
             kind="bench",
             config={"module": module, **_BENCH_CONFIG[module]},
             phases=phases,
-            metrics=get_registry().snapshot(),
+            metrics=_BENCH_METRICS[module],
             extra=_BENCH_EXTRA.get(module, {}),
         )
         report.write(OUTPUT_DIR / f"BENCH_{module.removeprefix('bench_')}.json")

@@ -82,10 +82,12 @@ def build_study_report(results: StudyResults, live=None) -> RunReport:
         },
     }
     fig5 = results.fig5_paths
+    table4 = results.table4_row
     extra = {
-        # The Figure 5 distribution rides along verbatim so runs with
-        # different BFS worker counts can be diffed for bit-identity
-        # (the CI analysis-parallel job does exactly that).
+        # The Figure 5 distribution and the Table 4 diameters ride along
+        # verbatim so runs with different BFS worker counts can be
+        # diffed for bit-identity (the CI analysis-parallel job does
+        # exactly that).
         "fig5_paths": {
             "directed": {
                 "counts": fig5.directed.counts.tolist(),
@@ -95,6 +97,10 @@ def build_study_report(results: StudyResults, live=None) -> RunReport:
                 "counts": fig5.undirected.counts.tolist(),
                 "n_sources": fig5.undirected.n_sources,
             },
+        },
+        "table4_diameters": {
+            "directed": table4.diameter,
+            "undirected": table4.undirected_diameter,
         },
         "path_workers": results.config.path_workers,
     }

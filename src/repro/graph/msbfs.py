@@ -1,13 +1,16 @@
-"""Batched multi-source BFS over the CSR arrays (the analysis kernel).
+"""Batched multi-source BFS over a target-grouped edge table (the analysis kernel).
 
 The paper's Section 3.3.5 estimates run thousands of single-source BFS
 traversals; doing them one at a time costs a full Python/numpy round
 trip per source per hop.  This kernel runs a *batch* of B sources at
 once: each node carries ``ceil(B / 64)`` ``np.uint64`` words, one bit
-per source, and one hop of the whole batch is a handful of vectorised
-gathers and ORs — frontier nodes shared by many sources are expanded
-once instead of once per source, which on small-diameter social graphs
-collapses most of the work.
+per source.  The graph's edges are laid out once per traversal mode in
+an :class:`EdgeTable`, grouped by target, and one hop of the whole batch
+keeps the rows whose source is on the frontier, gathers those sources'
+words (already in target order) and ORs each target's run with one
+``reduceat`` — no per-hop sort.  Frontier nodes shared by many sources
+are expanded once instead of once per source, which on small-diameter
+social graphs collapses most of the work.
 
 The traversal semantics match :func:`repro.graph.paths.bfs_distances`
 exactly in both modes: BFS levels are unique, so every derived quantity
@@ -33,6 +36,7 @@ __all__ = [
     "DIRECTED",
     "UNDIRECTED",
     "WORD_BITS",
+    "EdgeTable",
     "batch_eccentricities",
     "batch_hop_counts",
     "msbfs_distances",
@@ -73,92 +77,108 @@ def _popcount(bits: np.ndarray) -> int:
     return int(_unpack_lanes(bits, bits.shape[1] * WORD_BITS).sum())
 
 
-def _expand(
-    frontier: np.ndarray,
-    words: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All successors of the frontier, each carrying its source word.
+class EdgeTable:
+    """A graph's traversable edges for one mode, grouped by target.
 
-    The same ragged gather as the single-source kernel, plus a repeat of
-    the (k, W) frontier words so every emitted edge knows which sources
-    reached it.
+    Row ``i`` is an edge ``sources[i] -> targets[i]`` and ``targets`` is
+    ascending, so each node's incoming rows form one contiguous run.  In
+    ``DIRECTED`` mode the rows are the reverse CSR as it stands (no
+    copy of the sources).  In ``UNDIRECTED`` mode each target's run is
+    its in-slice followed by its out-slice, so a reciprocal pair
+    appears twice in that run; OR-ing a word in twice changes nothing.
+    Built once per graph and mode, then shared by every batch.
     """
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty((0, words.shape[1]), dtype=np.uint64)
-        return np.empty(0, dtype=np.int64), empty
-    base = np.repeat(starts, counts)
-    ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    targets = indices[base + within].astype(np.int64, copy=False)
-    return targets, np.repeat(words, counts, axis=0)
 
-
-def _bfs_levels(graph, sources: np.ndarray, mode: str):
-    """Yield ``(hop, nodes, fresh)`` per BFS level of the whole batch.
-
-    ``nodes`` is ascending; ``fresh`` holds the bits of the sources that
-    first reached each node at this hop.  ``graph`` is anything carrying
-    CSR attributes (``n``/``indptr``/``indices``/``rindptr``/``rindices``)
-    — a :class:`~repro.graph.csr.CSRGraph` or a shared-memory view.
-    """
-    _check_mode(mode)
-    n_words = max(1, -(-len(sources) // WORD_BITS))
-    # When the batch fits one word AND (target, word) packs into 63 bits,
-    # duplicate-target aggregation can sort a single packed key array —
-    # the stable argsort it replaces dominated the whole sweep's cost.
-    # The OR-reduce is order-insensitive, so both paths are bit-identical.
-    pack_bits = len(sources)
-    can_pack = (
-        n_words == 1
-        and pack_bits + max(1, graph.n - 1).bit_length() < 63
-    )
-    visited = np.zeros((graph.n, n_words), dtype=np.uint64)
-    np.bitwise_or.at(visited, sources, _source_bit_rows(sources, n_words))
-    nodes = np.flatnonzero(visited.any(axis=1))
-    bits = visited[nodes]
-    hop = 0
-    while len(nodes):
-        hop += 1
-        targets, words = _expand(nodes, bits, graph.indptr, graph.indices)
+    def __init__(self, graph, mode: str):
+        _check_mode(mode)
+        self.n = int(graph.n)
+        in_degrees = np.diff(graph.rindptr)
+        run_lengths = in_degrees
+        self.sources = graph.rindices
         if mode == UNDIRECTED:
-            rtargets, rwords = _expand(nodes, bits, graph.rindptr, graph.rindices)
-            targets = np.concatenate([targets, rtargets])
-            words = np.concatenate([words, rwords])
-        if targets.size == 0:
-            break
-        # OR together duplicate targets: sort by target, then one
-        # reduceat per contiguous run.
-        if can_pack:
-            shift = np.uint64(pack_bits)
-            key = np.sort(
-                (targets.astype(np.uint64) << shift) | words[:, 0]
+            out_degrees = np.diff(graph.indptr)
+            run_lengths = in_degrees + out_degrees
+            self.sources = np.empty(
+                run_lengths.sum(), np.result_type(graph.rindices, graph.indices)
             )
-            targets = (key >> shift).astype(np.int64)
+            # Target v's merged run starts at rindptr[v] + indptr[v]: its
+            # in-slice shifts up by indptr[v], its out-slice by rindptr[v+1].
+            for slices, shifts, degrees in (
+                (graph.rindices, graph.indptr[:-1], in_degrees),
+                (graph.indices, graph.rindptr[1:], out_degrees),
+            ):
+                at = np.arange(len(slices)) + np.repeat(shifts, degrees)
+                self.sources[at] = slices
+        self.targets = np.repeat(np.arange(self.n, dtype=np.int32), run_lengths)
+
+    def levels(self, sources: np.ndarray):
+        """Yield ``(hop, nodes, fresh)`` per BFS level of the whole batch.
+
+        ``nodes`` is ascending; ``fresh`` holds the bits of the sources
+        that first reached each node at this hop.
+        """
+        n_words = max(1, -(-len(sources) // WORD_BITS))
+        visited = np.zeros((self.n, n_words), dtype=np.uint64)
+        np.bitwise_or.at(visited, sources, _source_bit_rows(sources, n_words))
+        nodes = np.flatnonzero(visited.any(axis=1))
+        bits = visited[nodes]
+        # A frontier node's row in ``bits``; -1 off the frontier.  int32
+        # halves the per-hop gather over the whole table.
+        slot = np.full(self.n, -1, dtype=np.int32)
+        hop = 0
+        while len(nodes):
+            hop += 1
+            slot[nodes] = np.arange(len(nodes), dtype=np.int32)
+            rows = np.take(slot, self.sources)
+            slot[nodes] = -1
+            in_frontier = rows >= 0
+            targets = self.targets[in_frontier]
+            if targets.size == 0:
+                break
+            # Kept rows are still grouped by target: one reduceat per run
+            # ORs together every source reaching that target.
             seg = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
             candidates = targets[seg]
             combined = np.bitwise_or.reduceat(
-                key & np.uint64((1 << pack_bits) - 1), seg
-            )[:, None]
-        else:
-            order = np.argsort(targets)
-            targets = targets[order]
-            words = words[order]
-            seg = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
-            candidates = targets[seg]
-            combined = np.bitwise_or.reduceat(words, seg, axis=0)
-        fresh = combined & ~visited[candidates]
-        keep = fresh.any(axis=1)
-        if not keep.any():
-            break
-        nodes = candidates[keep]
-        bits = fresh[keep]
-        visited[nodes] |= bits
-        yield hop, nodes, bits
+                np.take(bits, rows[in_frontier], axis=0), seg, axis=0
+            )
+            fresh = combined & ~np.take(visited, candidates, axis=0)
+            keep = fresh.any(axis=1)
+            if not keep.any():
+                break
+            nodes = candidates[keep]
+            bits = fresh[keep]
+            visited[nodes] |= bits
+            yield hop, nodes, bits
+
+    def distances(self, sources) -> np.ndarray:
+        """See :func:`msbfs_distances`."""
+        sources = np.asarray(sources, dtype=np.int64)
+        dist = np.full((len(sources), self.n), -1, dtype=np.int32)
+        dist[np.arange(len(sources)), sources] = 0
+        for hop, nodes, bits in self.levels(sources):
+            reached, lane = np.nonzero(_unpack_lanes(bits, len(sources)))
+            dist[lane, nodes[reached]] = hop
+        return dist
+
+    def hop_counts(self, sources) -> np.ndarray:
+        """See :func:`batch_hop_counts`."""
+        levels = self.levels(np.asarray(sources, dtype=np.int64))
+        return np.asarray([0] + [_popcount(bits) for *_, bits in levels], dtype=np.int64)
+
+    def eccentricities(self, sources) -> tuple[np.ndarray, np.ndarray]:
+        """See :func:`batch_eccentricities`."""
+        sources = np.asarray(sources, dtype=np.int64)
+        ecc = np.zeros(len(sources), dtype=np.int64)
+        far = sources.copy()
+        for hop, nodes, bits in self.levels(sources):
+            lanes = _unpack_lanes(bits, len(sources))
+            touched = lanes.any(axis=0)
+            # nodes is ascending, so argmax picks the smallest node index.
+            first = np.argmax(lanes, axis=0)
+            ecc[touched] = hop
+            far[touched] = nodes[first[touched]]
+        return ecc, far
 
 
 def msbfs_distances(graph, sources, mode: str = DIRECTED) -> np.ndarray:
@@ -166,16 +186,7 @@ def msbfs_distances(graph, sources, mode: str = DIRECTED) -> np.ndarray:
 
     Row ``j`` equals ``bfs_distances(graph, sources[j], mode)`` exactly.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    dist = np.full((len(sources), graph.n), -1, dtype=np.int32)
-    if len(sources) == 0:
-        _check_mode(mode)
-        return dist
-    dist[np.arange(len(sources)), sources] = 0
-    for hop, nodes, bits in _bfs_levels(graph, sources, mode):
-        reached, lane = np.nonzero(_unpack_lanes(bits, len(sources)))
-        dist[lane, nodes[reached]] = hop
-    return dist
+    return EdgeTable(graph, mode).distances(sources)
 
 
 def batch_hop_counts(graph, sources, mode: str = DIRECTED) -> np.ndarray:
@@ -186,14 +197,7 @@ def batch_hop_counts(graph, sources, mode: str = DIRECTED) -> np.ndarray:
     the per-source sequential distances — the popcount of each level's
     freshly visited bits, without materialising any distance matrix.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    counts: list[int] = [0]
-    if len(sources) == 0:
-        _check_mode(mode)
-        return np.asarray(counts, dtype=np.int64)
-    for hop, _nodes, bits in _bfs_levels(graph, sources, mode):
-        counts.append(_popcount(bits))
-    return np.asarray(counts, dtype=np.int64)
+    return EdgeTable(graph, mode).hop_counts(sources)
 
 
 def batch_eccentricities(
@@ -205,17 +209,4 @@ def batch_eccentricities(
     ``dist.max()`` of source ``j``'s BFS (0 when nothing is reachable)
     and ``far[j]`` the smallest compact index at that distance.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    ecc = np.zeros(len(sources), dtype=np.int64)
-    far = sources.copy()
-    if len(sources) == 0:
-        _check_mode(mode)
-        return ecc, far
-    for hop, nodes, bits in _bfs_levels(graph, sources, mode):
-        lanes = _unpack_lanes(bits, len(sources))
-        touched = lanes.any(axis=0)
-        # nodes is ascending, so argmax picks the smallest node index.
-        first = np.argmax(lanes, axis=0)
-        ecc[touched] = hop
-        far[touched] = nodes[first[touched]]
-    return ecc, far
+    return EdgeTable(graph, mode).eccentricities(sources)

@@ -27,21 +27,16 @@ import numpy as np
 
 from repro.obs.metrics import Registry, get_registry
 
-from .msbfs import (
-    batch_eccentricities,
-    batch_hop_counts,
-    DIRECTED,
-    msbfs_distances,
-    WORD_BITS,
-)
+from .msbfs import _check_mode, DIRECTED, EdgeTable, UNDIRECTED, WORD_BITS
 
 __all__ = ["BFSEngine", "DEFAULT_BATCH_SIZE", "SharedCSR"]
 
-#: Eight frontier words per node. The per-hop radix sort of gathered
-#: targets is paid once per batch whatever the width, so wider batches
-#: amortise it further; 512 lanes still keeps the visited matrix under
-#: ~1 MB per 16k nodes. Measured on the bench graph: 512 is ~2x faster
-#: than 64-lane batches end to end.
+#: Eight frontier words per node. Every hop scans the whole edge table
+#: once per batch whatever its width, so wider batches amortise that
+#: scan, while the gathered words grow with the width. Measured on the
+#: seed-5 20k crawl graph (Figure 5 sampling plus Table 4 sweeps, one
+#: process, median of 6 on a 2-vCPU host): 256 lanes 1.15 s, 512 lanes
+#: 1.10 s, 1024 lanes 1.20 s.
 DEFAULT_BATCH_SIZE = 8 * WORD_BITS
 
 #: CSR arrays the kernel traverses (node_ids is never needed).
@@ -108,25 +103,25 @@ class _SharedCSRView:
             )
 
 
-_KERNELS = {
-    "hop_counts": batch_hop_counts,
-    "eccentricities": batch_eccentricities,
-    "distances": msbfs_distances,
-}
-
-#: Worker-global graph view, installed once per process by the
-#: pool initializer so tasks only ship (kind, sources, mode).
+#: Worker-global graph view and its edge table per mode, installed once
+#: per process by the pool initializer so tasks only ship (kind,
+#: sources, mode).  The view stays referenced: the directed table's
+#: sources are its shared reverse-CSR array.
 _WORKER_GRAPH: _SharedCSRView | None = None
+_WORKER_TABLES: dict[str, EdgeTable] = {}
 
 
 def _worker_init(descriptor: dict) -> None:
-    global _WORKER_GRAPH
+    global _WORKER_GRAPH, _WORKER_TABLES
     _WORKER_GRAPH = _SharedCSRView(descriptor)
+    _WORKER_TABLES = {
+        mode: EdgeTable(_WORKER_GRAPH, mode) for mode in (DIRECTED, UNDIRECTED)
+    }
 
 
 def _worker_run(task: tuple) -> object:
     kind, sources, mode = task
-    return _KERNELS[kind](_WORKER_GRAPH, sources, mode)
+    return getattr(_WORKER_TABLES[mode], kind)(sources)
 
 
 class BFSEngine:
@@ -154,6 +149,7 @@ class BFSEngine:
         self.batch_size = batch_size
         self._pool: ProcessPoolExecutor | None = None
         self._shared: SharedCSR | None = None
+        self._tables: dict[str, EdgeTable] = {}
         registry = registry if registry is not None else get_registry()
         self._m_seconds = registry.histogram(
             "graph.bfs_seconds",
@@ -222,13 +218,21 @@ class BFSEngine:
             for i in range(0, len(sources), self.batch_size)
         ]
 
+    def _table(self, mode: str) -> EdgeTable:
+        """The in-process edge table for ``mode``, built on first use."""
+        table = self._tables.get(mode)
+        if table is None:
+            table = self._tables[mode] = EdgeTable(self.graph, mode)
+        return table
+
     def _run(self, kind: str, sources, mode: str) -> list:
         sources = np.asarray(sources, dtype=np.int64)
         batches = self._batches(sources)
         started = time.perf_counter()
         if self.n_workers == 1 or len(batches) <= 1:
-            results = [_KERNELS[kind](self.graph, batch, mode) for batch in batches]
+            results = [getattr(self._table(mode), kind)(batch) for batch in batches]
         else:
+            _check_mode(mode)
             pool = self._ensure_pool()
             # Executor.map preserves submission order: the merge is
             # deterministic no matter which worker finishes first.

@@ -137,38 +137,40 @@ def path_length_refresh(graph, n_sources: int) -> dict:
     }
 
 
-class _ForwardGraph:
-    """Forward-only CSR view for the live path refresh.
+class _ReverseGraph:
+    """Reverse-CSR view for the live path refresh.
 
     Directed :func:`~repro.graph.msbfs.batch_hop_counts` reads exactly
-    ``n`` / ``indptr`` / ``indices`` / ``n_edges`` — and the reciprocity
-    sketch already holds the edge set sorted by packed ``(src, dst)``
-    key and deduplicated, so the adjacency assembles with *no sort at
-    all*: a rank table remaps the (dense, ascending) node ids, and the
-    key order *is* CSR row order.  Compact indices equal what
+    ``n`` / ``rindptr`` / ``rindices`` / ``n_edges`` (its edge table is
+    the in-edges grouped by target).  The reciprocity sketch already
+    holds the edge set deduplicated, so the adjacency assembles from one
+    packed ``(dst, src)`` key sort, as :class:`~repro.graph.csr.CSRGraph`
+    builds its reverse side: a rank table remaps the (dense, ascending)
+    node ids.  Compact indices equal what
     ``CSRGraph.from_edge_arrays(..., node_ids=...)`` assigns over the
     same node universe, which keeps the refresh bit-equal to the batch
     recomputation.
     """
 
-    def __init__(self, n, indptr, indices, n_edges):
+    def __init__(self, n, rindptr, rindices, n_edges):
         self.n = n
-        self.indptr = indptr
-        self.indices = indices
+        self.rindptr = rindptr
+        self.rindices = rindices
         self.n_edges = n_edges
 
 
-def _forward_graph(reciprocity, degrees) -> _ForwardGraph:
+def _reverse_graph(reciprocity, degrees) -> _ReverseGraph:
     sources, targets = reciprocity.edge_arrays()
     node_ids = degrees.node_ids()  # every edge endpoint is "seen"
     n = len(node_ids)
     rank = np.empty(int(node_ids[-1]) + 1 if n else 0, dtype=np.int64)
     rank[node_ids] = np.arange(n, dtype=np.int64)
-    src = rank[sources]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.bincount(src, minlength=n)
-    np.cumsum(indptr, out=indptr)
-    return _ForwardGraph(n, indptr, rank[targets], len(sources))
+    dst = rank[targets]
+    rindptr = np.zeros(n + 1, dtype=np.int64)
+    rindptr[1:] = np.bincount(dst, minlength=n)
+    np.cumsum(rindptr, out=rindptr)
+    key = np.sort(dst * np.int64(max(n, 1)) + rank[sources])
+    return _ReverseGraph(n, rindptr, key % max(n, 1), len(sources))
 
 
 class LiveTelemetry(CrawlHooks):
@@ -409,7 +411,7 @@ class LiveTelemetry(CrawlHooks):
         ):
             return
         self._last_paths = path_length_refresh(
-            _forward_graph(self.reciprocity, self.degrees), self.path_sources
+            _reverse_graph(self.reciprocity, self.degrees), self.path_sources
         )
         self._last_path_virtual = virtual_now
 

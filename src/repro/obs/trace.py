@@ -227,9 +227,12 @@ def get_tracer() -> Tracer:
 
 
 def set_tracer(tracer: Tracer) -> Tracer:
+    """Install ``tracer`` as the process-global tracer; returns the one
+    it replaced, so ``old = set_tracer(new) … set_tracer(old)`` restores."""
     global _default_tracer
+    previous = get_tracer()
     _default_tracer = tracer
-    return tracer
+    return previous
 
 
 # -- module-level conveniences over the default tracer -------------------------

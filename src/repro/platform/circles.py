@@ -144,6 +144,15 @@ class CircleStore:
         """
         return target_id in self.members_by_circle.get(circle, ())
 
+    def members(self, circles) -> list[int]:
+        """Everyone in any of the named circles (a target in two of them
+        appears twice; unknown names hold nobody)."""
+        return [
+            target
+            for name in circles
+            for target in self.members_by_circle.get(name, ())
+        ]
+
     def circles_of(self, target_id: int) -> list[str]:
         """Names of the owner's circles containing the target."""
         return [

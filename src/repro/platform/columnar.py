@@ -306,6 +306,10 @@ class ColumnarCircles:
     in_indptr: np.ndarray
     in_sources: np.ndarray
 
+    def __post_init__(self):
+        #: Circle name -> its code in :attr:`labels`.
+        self._codes = {name: code for code, name in enumerate(self.labels)}
+
     @classmethod
     def build(
         cls,
@@ -409,12 +413,19 @@ class ColumnarCircles:
 
     def has_member(self, uid: int, target: int, circle: str) -> bool:
         """Whether ``target`` is in ``uid``'s circle named ``circle``."""
-        try:
-            code = self.labels.index(circle)
-        except ValueError:
+        code = self._codes.get(circle)
+        if code is None:
             return False
         targets, labs = self.memberships(uid)
         return bool(((targets == target) & (labs == np.uint8(code))).any())
+
+    def members(self, uid: int, circles) -> np.ndarray:
+        """Targets in any of ``uid``'s circles named in ``circles`` (a
+        target in two of them appears twice; unknown names hold nobody)."""
+        wanted = np.zeros(len(self.labels), dtype=bool)
+        wanted[[self._codes[name] for name in circles if name in self._codes]] = True
+        targets, labs = self.memberships(uid)
+        return targets[wanted[labs]]
 
     def materialize_store(self, uid: int, exempt: bool) -> CircleStore:
         """The owner's circles as an ordinary dict-backed CircleStore."""

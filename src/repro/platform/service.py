@@ -403,6 +403,15 @@ class GooglePlusService:
             return circles.member_of(target_id, circle)
         return self.base_circles.has_member(self._base(owner_id), target_id, circle)
 
+    def circle_members(self, owner_id: int, circles) -> np.ndarray:
+        """Everyone in any of the owner's circles named in ``circles``
+        (a target in two of them appears twice; unknown names hold
+        nobody)."""
+        store = self._circles.get(owner_id)
+        if store is not None:
+            return np.asarray(store.members(circles), dtype=np.int64)
+        return self.base_circles.members(self._base(owner_id), circles)
+
     def circle_names(self, user_id: int) -> list[str]:
         """The owner's circle names, in creation order."""
         circles = self._circles.get(user_id)

@@ -126,7 +126,7 @@ def simulate_activity(
     ``max_users`` limits how many users author original posts (highest
     ids first are skipped), which keeps large worlds affordable; the
     engagement side always uses the full follower structure.  The
-    service is only read (followers, circle names, circle membership).
+    service is only read (followers, circle names, circle members).
     """
     config = config if config is not None else ActivityConfig()
     rng = np.random.default_rng(seed)
@@ -205,11 +205,8 @@ class _CascadeRunner:
             offered = np.flatnonzero(~self.seen[audience])
             if depth == 0 and to_circles is not None:
                 # Only the root can be scoped: reshares are public.
-                visible = [
-                    any(service.member_of(author_id, follower, name) for name in to_circles)
-                    for follower in audience[offered].tolist()
-                ]
-                offered = offered[np.array(visible, dtype=bool)]
+                scope = service.circle_members(author_id, to_circles)
+                offered = offered[np.isin(audience[offered], scope, kind="table")]
             viewers = audience[offered]
             self.seen[viewers] = True
             reached.append(viewers)

@@ -58,7 +58,8 @@ def study_run(monkeypatch_module):
     for module in ("repro.graph.stats", "repro.analysis.structure"):
         monkeypatch_module.setattr(f"{module}.strongly_connected_components", counting)
     old_tracer = trace.get_tracer()
-    tracer = trace.set_tracer(Tracer(registry=Registry(enabled=True)))
+    tracer = Tracer(registry=Registry(enabled=True))
+    trace.set_tracer(tracer)
     try:
         study = MeasurementStudy(_config())
         world = study.world

@@ -1,6 +1,6 @@
 """Tests for artifact saving."""
 
-from repro.experiments.runner import save_artifacts
+from repro.experiments.runner import build_study_report, save_artifacts
 
 
 class TestSaveArtifacts:
@@ -18,6 +18,17 @@ class TestSaveArtifacts:
         target = tmp_path / "deep" / "dir"
         save_artifacts(study_results, target, ["fig3"])
         assert (target / "fig3.txt").exists()
+
+
+class TestStudyReport:
+    def test_extra_carries_table4_diameters(self, study_results):
+        extra = build_study_report(study_results).extra
+        row = study_results.table4_row
+        assert extra["table4_diameters"] == {
+            "directed": row.diameter,
+            "undirected": row.undirected_diameter,
+        }
+        assert all(isinstance(v, int) for v in extra["table4_diameters"].values())
 
 
 class TestCliSave:

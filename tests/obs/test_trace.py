@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.metrics import Registry
+from repro.obs import trace as trace_mod
 from repro.obs.trace import Tracer
 from repro.platform.http import SimulatedClock
 
@@ -130,3 +131,19 @@ class TestSummaryRendering:
         assert record["path"] == "outer/inner"
         assert record["count"] == 1
         assert set(record) >= {"name", "path", "count", "wall_seconds", "virtual_seconds"}
+
+
+class TestDefaultTracer:
+    def test_set_tracer_returns_the_replaced_tracer(self):
+        original = trace_mod.get_tracer()
+        mine = Tracer(registry=Registry(enabled=True))
+        old = trace_mod.set_tracer(mine)
+        try:
+            assert old is original
+            assert trace_mod.get_tracer() is mine
+            with trace_mod.span("inside"):
+                pass
+        finally:
+            assert trace_mod.set_tracer(old) is mine
+        assert trace_mod.get_tracer() is original
+        assert [s.name for s in mine.summary()] == ["inside"]

@@ -143,6 +143,22 @@ class ColumnarEquivalenceMachine(RuleBasedStateMachine):
         )
 
     @invariant()
+    def circle_members_match_membership(self):
+        # Two named circles plus an unknown name; a target in both named
+        # circles is listed twice.
+        names = (CIRCLES[0], CIRCLES[-1], "no such circle")
+        uids = range(self.next_uid)
+        for owner in uids:
+            expected = [
+                target
+                for name in names
+                for target in uids
+                if self.model.member_of(owner, target, name)
+            ]
+            got = self.service.circle_members(owner, names).tolist()
+            assert sorted(got) == sorted(expected), owner
+
+    @invariant()
     def rendered_pages_identical(self):
         viewers = [None] + list(range(self.next_uid))
         for owner in range(self.next_uid):
