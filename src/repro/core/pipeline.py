@@ -29,6 +29,9 @@ decomposition its singleton tail.
 
 from __future__ import annotations
 
+import resource
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -154,6 +157,21 @@ class StudyResults:
     diffusion: DiffusionAnalysis | None = None
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far (``ru_maxrss``), in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+@contextmanager
+def _stage(peaks: dict, name: str, **attributes):
+    """Run a study stage under its span; record the peak RSS at its end."""
+    with trace.span(name, **attributes):
+        yield
+    peaks[name] = _peak_rss_mb()
+
+
 class MeasurementStudy:
     """Orchestrates world → crawl → graph → analyses."""
 
@@ -192,22 +210,26 @@ class MeasurementStudy:
         """Crawl (unless given a dataset) and compute every artifact.
 
         Each pipeline phase runs under its own span, so a run report can
-        show where wall time (and, for the crawl, virtual time) went.
-        ``hooks`` is forwarded to :meth:`crawl` (ignored with a dataset).
+        show where wall time (and, for the crawl, virtual time) went, and
+        ``extras["stage_peak_rss_mb"]`` holds the process's peak RSS at
+        the end of each stage.  ``hooks`` is forwarded to :meth:`crawl`
+        (ignored with a dataset).
         """
         config = self.config
+        peaks: dict[str, float] = {}
         if dataset is None:
             dataset = self.crawl(hooks=hooks)
+            peaks["study.crawl"] = _peak_rss_mb()
         world = self._world  # populated by .crawl(); None for foreign datasets
-        with trace.span("study.freeze_graph"):
+        with _stage(peaks, "study.freeze_graph"):
             graph = dataset.to_csr()
-        with trace.span("study.geo_index"):
+        with _stage(peaks, "study.geo_index"):
             geo = build_geo_index(dataset)
         rng = np.random.default_rng(config.seed + 1)
         top10 = list(TOP10_CODES)
         engine = BFSEngine(graph, n_workers=config.path_workers)
         try:
-            with trace.span("study.analyze.paths", workers=config.path_workers):
+            with _stage(peaks, "study.analyze.paths", workers=config.path_workers):
                 fig5 = analyze_path_lengths(
                     graph,
                     rng,
@@ -215,7 +237,7 @@ class MeasurementStudy:
                     max_k=config.path_sample_max,
                     engine=engine,
                 )
-            with trace.span("study.analyze.structure"):
+            with _stage(peaks, "study.analyze.structure"):
                 fig4c_sccs = analyze_sccs(graph)
                 table4_row = google_plus_table4_row(
                     graph,
@@ -230,13 +252,13 @@ class MeasurementStudy:
                 fig4b_clustering = analyze_clustering(graph, rng)
         finally:
             engine.close()
-        with trace.span("study.analyze.profiles"):
+        with _stage(peaks, "study.analyze.profiles"):
             table1_top_users = top_users_by_in_degree(dataset, graph, k=20)
             table2_attributes = attribute_availability(dataset)
             table3_tel_users = compare_tel_users(dataset, geo)
             fig2_fields = fields_shared_ccdfs(dataset)
             lost_edges = estimate_lost_edges(dataset)
-        with trace.span("study.analyze.geography"):
+        with _stage(peaks, "study.analyze.geography"):
             fig6_countries = top_countries(geo, k=10)
             fig7_penetration = penetration_analysis(geo)
             fig8_openness = openness_by_country(dataset, geo, top10)
@@ -254,9 +276,9 @@ class MeasurementStudy:
             )
         growth = diffusion = None
         if world is not None:
-            with trace.span("study.analyze.growth"):
+            with _stage(peaks, "study.analyze.growth"):
                 growth = growth_stage(world)
-            with trace.span("study.analyze.diffusion"):
+            with _stage(peaks, "study.analyze.diffusion"):
                 diffusion = diffusion_stage(world)
         return StudyResults(
             config=config,
@@ -281,7 +303,7 @@ class MeasurementStudy:
             fig9b_country_miles=fig9b_country_miles,
             fig10_links=fig10_links,
             table5_occupations=table5_occupations,
-            extras={"world": world},
+            extras={"world": world, "stage_peak_rss_mb": peaks},
             growth=growth,
             diffusion=diffusion,
         )

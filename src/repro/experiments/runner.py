@@ -103,6 +103,8 @@ def build_study_report(results: StudyResults, live=None) -> RunReport:
             "undirected": table4.undirected_diameter,
         },
         "path_workers": results.config.path_workers,
+        # Peak RSS (MB) at the end of each study.* stage, in stage order.
+        "stage_peak_rss_mb": results.extras.get("stage_peak_rss_mb", {}),
     }
     if live is not None:
         extra["live"] = live.live_section()

@@ -60,14 +60,16 @@ def strongly_connected_components(graph: CSRGraph) -> ComponentDecomposition:
 
     Runs in O(n + m); the explicit work stack replaces recursion so the
     giant-component case (paths of millions of nodes) cannot overflow.
+    The walk runs over Python lists: indexing a list costs a fraction
+    of a numpy scalar read.
     """
     n = graph.n
-    indptr, indices = graph.indptr, graph.indices
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
     UNVISITED = -1
-    index_of = np.full(n, UNVISITED, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    labels = np.full(n, UNVISITED, dtype=np.int64)
+    index_of = [UNVISITED] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    labels = [UNVISITED] * n
     stack: list[int] = []
     next_index = 0
     next_label = 0
@@ -76,7 +78,7 @@ def strongly_connected_components(graph: CSRGraph) -> ComponentDecomposition:
         if index_of[root] != UNVISITED:
             continue
         # Work stack of (node, next-edge-offset) frames.
-        work: list[tuple[int, int]] = [(root, int(indptr[root]))]
+        work: list[tuple[int, int]] = [(root, indptr[root])]
         while work:
             node, edge_pos = work[-1]
             if index_of[node] == UNVISITED:
@@ -85,13 +87,13 @@ def strongly_connected_components(graph: CSRGraph) -> ComponentDecomposition:
                 stack.append(node)
                 on_stack[node] = True
             advanced = False
-            end = int(indptr[node + 1])
+            end = indptr[node + 1]
             while edge_pos < end:
-                child = int(indices[edge_pos])
+                child = indices[edge_pos]
                 edge_pos += 1
                 if index_of[child] == UNVISITED:
                     work[-1] = (node, edge_pos)
-                    work.append((child, int(indptr[child])))
+                    work.append((child, indptr[child]))
                     advanced = True
                     break
                 if on_stack[child]:
@@ -113,7 +115,7 @@ def strongly_connected_components(graph: CSRGraph) -> ComponentDecomposition:
                 parent = work[-1][0]
                 if lowlink[node] < lowlink[parent]:
                     lowlink[parent] = lowlink[node]
-    return _sorted_by_size(labels)
+    return _sorted_by_size(np.asarray(labels, dtype=np.int64))
 
 
 class UnionFind:

@@ -5,12 +5,16 @@ traversals; doing them one at a time costs a full Python/numpy round
 trip per source per hop.  This kernel runs a *batch* of B sources at
 once: each node carries ``ceil(B / 64)`` ``np.uint64`` words, one bit
 per source.  The graph's edges are laid out once per traversal mode in
-an :class:`EdgeTable`, grouped by target, and one hop of the whole batch
-keeps the rows whose source is on the frontier, gathers those sources'
-words (already in target order) and ORs each target's run with one
-``reduceat`` — no per-hop sort.  Frontier nodes shared by many sources
-are expanded once instead of once per source, which on small-diameter
-social graphs collapses most of the work.
+an :class:`EdgeTable`, grouped by target and cut into blocks of at most
+``BLOCK_ROWS`` rows that never split a target's run.  One hop of the
+whole batch walks the blocks in order: in each it keeps the rows whose
+source is on the frontier, gathers those sources' words (already in
+target order) and ORs each target's run with one ``reduceat`` — no
+per-hop sort.  A hop's temporaries are therefore bounded by
+``BLOCK_ROWS`` rows times the batch's words, not by the table size.
+Frontier nodes shared by many sources are expanded once instead of once
+per source, which on small-diameter social graphs collapses most of the
+work.
 
 The traversal semantics match :func:`repro.graph.paths.bfs_distances`
 exactly in both modes: BFS levels are unique, so every derived quantity
@@ -32,7 +36,15 @@ UNDIRECTED = "undirected"
 #: Sources packed per frontier word.
 WORD_BITS = 64
 
+#: Most edge-table rows one hop works on at once (a node whose run is
+#: longer is a block of its own).  A block's gathered frontier words
+#: take at most ``BLOCK_ROWS * ceil(B / 64) * 8`` bytes (2 MB at 512
+#: lanes), so a hop's working set stays cache-sized whatever the
+#: graph's size.  See ``docs/analysis.md`` for how it was picked.
+BLOCK_ROWS = 32_768
+
 __all__ = [
+    "BLOCK_ROWS",
     "DIRECTED",
     "UNDIRECTED",
     "WORD_BITS",
@@ -77,6 +89,23 @@ def _popcount(bits: np.ndarray) -> int:
     return int(_unpack_lanes(bits, bits.shape[1] * WORD_BITS).sum())
 
 
+def _block_offsets(run_starts: np.ndarray, block_rows: int) -> np.ndarray:
+    """Row offsets cutting a table into blocks of at most ``block_rows``
+    rows, each starting at a run start (``run_starts`` ascending, ending
+    with the row count).  A run longer than ``block_rows`` is a block of
+    its own."""
+    total = int(run_starts[-1])
+    offsets = [0]
+    while offsets[-1] < total:
+        start = offsets[-1]
+        last = np.searchsorted(run_starts, start + block_rows, "right") - 1
+        end = int(run_starts[last])
+        if end <= start:
+            end = int(run_starts[np.searchsorted(run_starts, start, "right")])
+        offsets.append(end)
+    return np.asarray(offsets, dtype=np.int64)
+
+
 class EdgeTable:
     """A graph's traversable edges for one mode, grouped by target.
 
@@ -86,7 +115,9 @@ class EdgeTable:
     copy of the sources).  In ``UNDIRECTED`` mode each target's run is
     its in-slice followed by its out-slice, so a reciprocal pair
     appears twice in that run; OR-ing a word in twice changes nothing.
-    Built once per graph and mode, then shared by every batch.
+    ``blocks`` holds the row offsets of blocks of at most ``BLOCK_ROWS``
+    rows, each a whole number of runs.  Built once per graph and mode,
+    then shared by every batch.
     """
 
     def __init__(self, graph, mode: str):
@@ -110,6 +141,8 @@ class EdgeTable:
                 at = np.arange(len(slices)) + np.repeat(shifts, degrees)
                 self.sources[at] = slices
         self.targets = np.repeat(np.arange(self.n, dtype=np.int32), run_lengths)
+        run_starts = np.concatenate(([0], np.cumsum(run_lengths)))
+        self.blocks = _block_offsets(run_starts, BLOCK_ROWS)
 
     def levels(self, sources: np.ndarray):
         """Yield ``(hop, nodes, fresh)`` per BFS level of the whole batch.
@@ -123,31 +156,39 @@ class EdgeTable:
         nodes = np.flatnonzero(visited.any(axis=1))
         bits = visited[nodes]
         # A frontier node's row in ``bits``; -1 off the frontier.  int32
-        # halves the per-hop gather over the whole table.
+        # halves the per-hop gather over the table.
         slot = np.full(self.n, -1, dtype=np.int32)
+        spans = list(zip(self.blocks[:-1].tolist(), self.blocks[1:].tolist()))
         hop = 0
         while len(nodes):
             hop += 1
             slot[nodes] = np.arange(len(nodes), dtype=np.int32)
-            rows = np.take(slot, self.sources)
+            reached, claimed = [], []
+            for lo, hi in spans:
+                rows = np.take(slot, self.sources[lo:hi])
+                in_frontier = rows >= 0
+                targets = self.targets[lo:hi][in_frontier]
+                if targets.size == 0:
+                    continue
+                # Kept rows are still grouped by target and no run spans
+                # two blocks: one reduceat per run ORs together every
+                # source reaching that target.
+                seg = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
+                candidates = targets[seg]
+                combined = np.bitwise_or.reduceat(
+                    np.take(bits, rows[in_frontier], axis=0), seg, axis=0
+                )
+                fresh = combined & ~np.take(visited, candidates, axis=0)
+                keep = fresh.any(axis=1)
+                if keep.any():
+                    reached.append(candidates[keep])
+                    claimed.append(fresh[keep])
             slot[nodes] = -1
-            in_frontier = rows >= 0
-            targets = self.targets[in_frontier]
-            if targets.size == 0:
+            if not reached:
                 break
-            # Kept rows are still grouped by target: one reduceat per run
-            # ORs together every source reaching that target.
-            seg = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
-            candidates = targets[seg]
-            combined = np.bitwise_or.reduceat(
-                np.take(bits, rows[in_frontier], axis=0), seg, axis=0
-            )
-            fresh = combined & ~np.take(visited, candidates, axis=0)
-            keep = fresh.any(axis=1)
-            if not keep.any():
-                break
-            nodes = candidates[keep]
-            bits = fresh[keep]
+            # Blocks are in row order, so the targets stay ascending.
+            nodes = np.concatenate(reached)
+            bits = np.concatenate(claimed)
             visited[nodes] |= bits
             yield hop, nodes, bits
 

@@ -33,10 +33,12 @@ __all__ = ["BFSEngine", "DEFAULT_BATCH_SIZE", "SharedCSR"]
 
 #: Eight frontier words per node. Every hop scans the whole edge table
 #: once per batch whatever its width, so wider batches amortise that
-#: scan, while the gathered words grow with the width. Measured on the
-#: seed-5 20k crawl graph (Figure 5 sampling plus Table 4 sweeps, one
-#: process, median of 6 on a 2-vCPU host): 256 lanes 1.15 s, 512 lanes
-#: 1.10 s, 1024 lanes 1.20 s.
+#: scan. The gathered words are bounded by the table's blocks
+#: (``msbfs.BLOCK_ROWS`` rows), so a wider batch costs memory only per
+#: node and per block row, not per edge. Measured on the seed-5 20k
+#: crawl graph (Figure 5 sampling plus Table 4 sweeps, one process,
+#: median of 5 in each of two interleaved rounds on a 2-vCPU host):
+#: 256 lanes 1.32/1.22 s, 512 lanes 0.95/1.14 s, 1024 lanes 1.15/1.06 s.
 DEFAULT_BATCH_SIZE = 8 * WORD_BITS
 
 #: CSR arrays the kernel traverses (node_ids is never needed).

@@ -421,7 +421,10 @@ def get_registry() -> Registry:
 
 
 def set_registry(registry: Registry) -> Registry:
-    """Swap the process-global registry (tests, embedders); returns it."""
+    """Install ``registry`` as the process-global registry (tests,
+    embedders); returns the one it replaced, so ``old =
+    set_registry(new) … set_registry(old)`` restores."""
     global _default_registry
+    previous = get_registry()
     _default_registry = registry
-    return registry
+    return previous

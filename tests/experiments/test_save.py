@@ -30,6 +30,23 @@ class TestStudyReport:
         }
         assert all(isinstance(v, int) for v in extra["table4_diameters"].values())
 
+    def test_extra_carries_stage_peak_rss(self, study_results):
+        peaks = build_study_report(study_results).extra["stage_peak_rss_mb"]
+        assert list(peaks) == [
+            "study.crawl",
+            "study.freeze_graph",
+            "study.geo_index",
+            "study.analyze.paths",
+            "study.analyze.structure",
+            "study.analyze.profiles",
+            "study.analyze.geography",
+            "study.analyze.growth",
+            "study.analyze.diffusion",
+        ]
+        values = list(peaks.values())
+        # ru_maxrss is a high-water mark: it never falls between stages.
+        assert values[0] > 0 and values == sorted(values)
+
 
 class TestCliSave:
     def test_save_renders_each_artifact_once(self, tmp_path, monkeypatch, capsys):

@@ -7,10 +7,13 @@ traversal modes, for any batch width (including multi-word batches of
 more than 64 sources).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graph import msbfs
 from repro.graph.csr import CSRGraph
 from repro.graph.msbfs import (
     batch_eccentricities,
@@ -225,3 +228,150 @@ class TestEdgeTable:
             assert ecc.tolist() == [2, 2, 2]
             assert far[:2].tolist() == [second.min()] * 2
         assert_kernels_match_sequential(graph, [0, 0, int(first[0])], mode)
+
+
+def run_starts(table):
+    """Row offset of every target's run, ending with the row count."""
+    return np.concatenate(([0], np.cumsum(np.bincount(table.targets, minlength=table.n))))
+
+
+def assert_blocks_well_formed(table, block_rows):
+    """Blocks tile the rows in order, each starts at a run start, and
+    only a single run longer than ``block_rows`` exceeds it."""
+    blocks = table.blocks
+    assert blocks[0] == 0 and blocks[-1] == len(table.sources)
+    assert np.all(np.diff(blocks) > 0)
+    starts = run_starts(table)
+    assert np.isin(blocks, starts).all()
+    for lo, hi in zip(blocks[:-1], blocks[1:]):
+        if hi - lo > block_rows:
+            assert table.targets[lo] == table.targets[hi - 1]
+        # Greedy: the next run would not have fit.
+        if hi < len(table.sources):
+            next_end = starts[np.searchsorted(starts, hi, "right")]
+            assert next_end - lo > block_rows
+
+
+def graph_with_isolated(edges, n):
+    src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    return CSRGraph.from_edge_arrays(src, dst, node_ids=np.arange(n))
+
+
+class TestBlockedTable:
+    """One hop walks the table block by block (``BLOCK_ROWS`` rows at
+    most, never splitting a target's run); small blocks force every
+    boundary case onto small graphs."""
+
+    @given(
+        edges=edges_strategy(),
+        mode=st.sampled_from([DIRECTED, UNDIRECTED]),
+        block_rows=st.sampled_from([1, 2, 3, 7, 64]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_small_blocks_match_sequential(self, edges, mode, block_rows):
+        graph = CSRGraph.from_edges(edges)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(msbfs, "BLOCK_ROWS", block_rows)
+            assert_blocks_well_formed(EdgeTable(graph, mode), block_rows)
+            assert_kernels_match_sequential(graph, np.arange(graph.n), mode)
+
+    @pytest.mark.parametrize("mode", [DIRECTED, UNDIRECTED])
+    def test_hub_runs_longer_than_a_block(self, monkeypatch, mode):
+        # Node 0 has 12 in-edges and 12 out-edges; leaves link in a ring.
+        monkeypatch.setattr(msbfs, "BLOCK_ROWS", 4)
+        edges = [(leaf, 0) for leaf in range(1, 13)]
+        edges += [(0, leaf) for leaf in range(1, 13)]
+        edges += [(leaf, leaf % 12 + 1) for leaf in range(1, 13)]
+        graph = CSRGraph.from_edges(edges)
+        table = EdgeTable(graph, mode)
+        assert_blocks_well_formed(table, 4)
+        hub_rows = 12 if mode == DIRECTED else 24
+        assert table.blocks[1] == hub_rows
+        assert_kernels_match_sequential(graph, [0, 5, 5, 12], mode)
+
+    def test_boundaries_fall_exactly_at_run_ends(self, monkeypatch):
+        # Every node has in-degree 2, so blocks of 4 rows hold exactly
+        # two runs each.
+        monkeypatch.setattr(msbfs, "BLOCK_ROWS", 4)
+        n = 10
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        edges += [(v, (v + 3) % n) for v in range(n)]
+        graph = CSRGraph.from_edges(edges)
+        table = EdgeTable(graph, DIRECTED)
+        assert table.blocks.tolist() == [0, 4, 8, 12, 16, 20]
+        for mode in (DIRECTED, UNDIRECTED):
+            assert_blocks_well_formed(EdgeTable(graph, mode), 4)
+            assert_kernels_match_sequential(graph, np.arange(n), mode)
+
+    @pytest.mark.parametrize("mode", [DIRECTED, UNDIRECTED])
+    def test_blocks_without_frontier_rows(self, monkeypatch, mode):
+        # Two components; a batch inside the first never puts a row of
+        # the second component's blocks on the frontier.
+        monkeypatch.setattr(msbfs, "BLOCK_ROWS", 2)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        edges += [(v, v + 1) for v in range(4, 15)]
+        graph = CSRGraph.from_edges(edges)
+        assert len(EdgeTable(graph, mode).blocks) > 6
+        assert_kernels_match_sequential(graph, [0, 2, 2], mode)
+        assert_kernels_match_sequential(graph, [14, 0, 7], mode)
+
+    @pytest.mark.parametrize("mode", [DIRECTED, UNDIRECTED])
+    def test_graph_smaller_than_one_block(self, mode):
+        graph = CSRGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        table = EdgeTable(graph, mode)
+        assert table.blocks.tolist() == [0, len(table.sources)]
+        assert_kernels_match_sequential(graph, [0, 3, 3], mode)
+
+    @pytest.mark.parametrize("mode", [DIRECTED, UNDIRECTED])
+    def test_graph_without_edges(self, mode):
+        graph = graph_with_isolated([], 5)
+        table = EdgeTable(graph, mode)
+        assert table.blocks.tolist() == [0]
+        assert_kernels_match_sequential(graph, [0, 4, 4], mode)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    @pytest.mark.parametrize("n_sources", [1, 64, 65, 513])
+    @pytest.mark.parametrize("mode", [DIRECTED, UNDIRECTED])
+    def test_batch_widths_with_duplicates(
+        self, monkeypatch, mode, n_sources, block_rows
+    ):
+        monkeypatch.setattr(msbfs, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(n_sources + block_rows)
+        edges = rng.integers(0, 40, size=(150, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        # Node 0 becomes a hub whose run is longer than any block.
+        edges = np.vstack([edges, [(v, 0) for v in range(1, 40)]])
+        graph = graph_with_isolated(edges, 45)
+        sources = rng.integers(0, graph.n, size=n_sources)
+        if n_sources > 1:
+            sources[-1] = sources[0]
+        assert_kernels_match_sequential(graph, sources, mode)
+
+    def test_hop_working_set_is_bounded_by_the_block(self, monkeypatch):
+        """A 512-source hop allocates in proportion to ``BLOCK_ROWS`` and
+        n, not to the table: the unblocked gather of every kept row's
+        words alone would take ``rows * 64`` bytes."""
+        block_rows, n, n_sources = 1024, 2_000, 512
+        monkeypatch.setattr(msbfs, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(11)
+        edges = rng.integers(0, n, size=(64_000, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        graph = graph_with_isolated(edges, n)
+        table = EdgeTable(graph, UNDIRECTED)
+        assert len(table.sources) > 100 * block_rows
+        sources = rng.integers(0, n, size=n_sources)
+        word_bytes = 8 * (n_sources // 64)
+        # Per node, a few word rows: visited, the frontier, this hop's
+        # fresh parts and their concatenation, the gathered visited rows.
+        # Per block row: the gathered words, slot rows and the masks.
+        bound = 8 * n * word_bytes + 2 * block_rows * (word_bytes + 16)
+        assert bound < len(table.sources) * word_bytes / 4
+        tracemalloc.start()
+        try:
+            counts = table.hop_counts(sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() > 0
+        assert peak < bound, (peak, bound)
+

@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     get_registry,
     log_buckets,
     quantile_from_sample,
+    set_registry,
 )
 
 
@@ -263,3 +264,17 @@ class TestDisable:
 class TestDefaultRegistry:
     def test_global_registry_is_stable(self):
         assert get_registry() is get_registry()
+
+    def test_set_registry_returns_the_replaced_registry(self):
+        original = get_registry()
+        mine = Registry(enabled=True)
+        old = set_registry(mine)
+        try:
+            assert old is original
+            assert get_registry() is mine
+            get_registry().counter("restore.probe", "probe").inc()
+        finally:
+            assert set_registry(old) is mine
+        assert get_registry() is original
+        assert mine.get("restore.probe").value() == 1
+

@@ -119,7 +119,8 @@ class TestDeterminism:
 class TestMetrics:
     def test_generation_emits_synth_metrics(self, population):
         previous = get_registry()
-        registry = set_registry(Registry(enabled=True))
+        registry = Registry(enabled=True)
+        set_registry(registry)
         try:
             generate_graph_fast(
                 population, GraphGenConfig(), np.random.default_rng(17)
