@@ -25,7 +25,11 @@ from repro.graph.paths import (
     UNDIRECTED,
 )
 from repro.graph.powerlaw import fit_powerlaw_ccdf, PowerLawFit
-from repro.graph.reciprocity import global_reciprocity, reciprocity_cdf_input
+from repro.graph.reciprocity import (
+    global_reciprocity,
+    reciprocated_edge_mask,
+    relation_reciprocity,
+)
 from repro.graph.stats import GraphSummary, summarize_graph
 
 
@@ -76,9 +80,12 @@ class ReciprocityAnalysis:
 
 
 def analyze_reciprocity(graph: CSRGraph) -> ReciprocityAnalysis:
+    """Figure 4a and global reciprocity from one reciprocated-edge mask."""
+    mask = reciprocated_edge_mask(graph)
+    rr = relation_reciprocity(graph, mask=mask)
     return ReciprocityAnalysis(
-        rr_values=reciprocity_cdf_input(graph),
-        global_reciprocity=global_reciprocity(graph),
+        rr_values=rr[~np.isnan(rr)],
+        global_reciprocity=global_reciprocity(graph, mask=mask),
     )
 
 
@@ -184,12 +191,15 @@ def google_plus_table4_row(
     paths: PathLengthAnalysis | None = None,
     engine: BFSEngine | None = None,
     sccs: SCCAnalysis | None = None,
+    reciprocity: ReciprocityAnalysis | None = None,
 ) -> GraphSummary:
     """The measured Google+ row of Table 4.
 
     Pass the Figure 5 result via ``paths`` to reuse its BFS sampling,
     the Figure 4c result via ``sccs`` to reuse its SCC decomposition,
-    and ``engine`` to share a BFS worker pool with the other analyses.
+    the Figure 4a result via ``reciprocity`` to reuse its reciprocated-edge
+    mask, and ``engine`` to share a BFS worker pool with the other
+    analyses.
     """
     return summarize_graph(
         graph,
@@ -199,4 +209,7 @@ def google_plus_table4_row(
         precomputed_undirected=paths.undirected if paths else None,
         engine=engine,
         sccs=sccs.decomposition if sccs is not None else None,
+        reciprocity=(
+            reciprocity.global_reciprocity if reciprocity is not None else None
+        ),
     )

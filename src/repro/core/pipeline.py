@@ -239,16 +239,17 @@ class MeasurementStudy:
                 )
             with _stage(peaks, "study.analyze.structure"):
                 fig4c_sccs = analyze_sccs(graph)
+                fig4a_reciprocity = analyze_reciprocity(graph)
                 table4_row = google_plus_table4_row(
                     graph,
                     rng,
                     path_samples=config.path_sample_max,
                     paths=fig5,
                     sccs=fig4c_sccs,
+                    reciprocity=fig4a_reciprocity,
                     engine=engine,
                 )
                 fig3_degrees = analyze_degrees(graph)
-                fig4a_reciprocity = analyze_reciprocity(graph)
                 fig4b_clustering = analyze_clustering(graph, rng)
         finally:
             engine.close()

@@ -21,6 +21,7 @@ implementation; the crawler itself stays storage-agnostic.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -33,14 +34,14 @@ from repro.platform.http import HttpFrontend
 from .dataset import CrawlDataset, CrawlStats
 from .fetch import FetchError
 from .frontier import BFSFrontier
-from .parse import PageParseError, ParsedProfile, parse_profile_page
+from .parse import ID_LIMIT, PageParseError, ParsedProfile, parse_profile_page
 from .resilience import ResiliencePolicy
 from .workers import MachinePool, publish_fetch_stats, publish_pool_health
 
-#: Packing base for the edge-dedup set (``u * _PACK + v``); user ids
-#: must stay below it.
-_PACK_BITS = 32
-_PACK = 1 << _PACK_BITS
+#: Packing base for the edge-dedup set (``u * _PACK + v``): the parser's
+#: id bound, so two distinct edges never share a key.
+_PACK = ID_LIMIT
+_PACK_BITS = _PACK.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -402,12 +403,19 @@ class BidirectionalBFSCrawler:
                 profiles = dict(resume.profiles)
                 restored_sources = np.asarray(resume.sources, dtype=np.int64)
                 restored_targets = np.asarray(resume.targets, dtype=np.int64)
-                sources = restored_sources.tolist()
-                targets = restored_targets.tolist()
+                sources = array("q", restored_sources.tobytes())
+                targets = array("q", restored_targets.tobytes())
+                # Only an edge with an uncrawled endpoint can be reported
+                # again (see ``fresh_keys``); the rest stay out of the set.
+                crawled = np.fromiter(profiles, dtype=np.int64, count=len(profiles))
+                both_crawled = np.isin(
+                    np.concatenate([restored_sources, restored_targets]), crawled
+                ).reshape(2, -1).all(axis=0)
                 edge_keys = set(
                     (
-                        (restored_sources.astype(np.uint64) << np.uint64(_PACK_BITS))
-                        | restored_targets.astype(np.uint64)
+                        (restored_sources[~both_crawled].astype(np.uint64)
+                         << np.uint64(_PACK_BITS))
+                        | restored_targets[~both_crawled].astype(np.uint64)
                     ).tolist()
                 )
                 hooks.on_resume(resume)
@@ -415,8 +423,8 @@ class BidirectionalBFSCrawler:
                 started = self.frontend.clock.now()
                 frontier.add_all(seeds)
                 profiles = {}
-                sources = []
-                targets = []
+                sources = array("q")
+                targets = array("q")
                 edge_keys = set()
 
             #: Edge columns the page being processed contributed.
@@ -425,11 +433,18 @@ class BidirectionalBFSCrawler:
 
             def fresh_keys(self_key: int, keys: list[int]) -> list[int]:
                 """The never-seen keys among one list's packed edge keys,
-                in first-occurrence order (self-loop dropped), now seen."""
+                in first-occurrence order (self-loop dropped).
+
+                Key ``u * _PACK + v`` has two reporters, u's out-list and
+                v's in-list, and each page is ingested once: a fresh key
+                enters ``edge_keys`` and its second report evicts it, so
+                the set holds only edges still awaiting their other
+                endpoint's page.
+                """
                 ordered = dict.fromkeys(keys)
                 ordered.pop(self_key, None)
                 fresh = [key for key in ordered if key not in edge_keys]
-                edge_keys.update(fresh)
+                edge_keys.symmetric_difference_update(ordered)
                 return fresh
 
             def ingest(user_id: int, profile: ParsedProfile) -> None:
@@ -443,23 +458,28 @@ class BidirectionalBFSCrawler:
                 journaling, so the in-memory cut must keep matching the
                 journal for the abort checkpoint to be consistent).
                 """
+                if user_id in profiles:
+                    raise RuntimeError(
+                        f"page {user_id} ingested twice; fresh_keys assumes "
+                        f"one ingest per page"
+                    )
                 pages_counter.inc()
                 page_sources.clear()
                 page_targets.clear()
                 self_key = user_id * _PACK + user_id
                 if self.config.follow_out_lists and profile.out_list is not None:
+                    out_ids = profile.out_list.tolist()
                     base = user_id * _PACK
-                    fresh = fresh_keys(self_key, [base + v for v in profile.out_list])
+                    fresh = fresh_keys(self_key, [base + v for v in out_ids])
                     page_sources.extend(repeat(user_id, len(fresh)))
                     page_targets.extend([key - base for key in fresh])
-                    frontier.add_all(profile.out_list)
+                    frontier.add_all(out_ids)
                 if self.config.follow_in_lists and profile.in_list is not None:
-                    fresh = fresh_keys(
-                        self_key, [u * _PACK + user_id for u in profile.in_list]
-                    )
+                    in_ids = profile.in_list.tolist()
+                    fresh = fresh_keys(self_key, [u * _PACK + user_id for u in in_ids])
                     page_sources.extend([key >> _PACK_BITS for key in fresh])
                     page_targets.extend(repeat(user_id, len(fresh)))
-                    frontier.add_all(profile.in_list)
+                    frontier.add_all(in_ids)
                 try:
                     if hooks is not None:
                         hooks.on_page(
@@ -467,8 +487,8 @@ class BidirectionalBFSCrawler:
                         )
                 finally:
                     profiles[user_id] = profile
-                    sources.extend(page_sources)
-                    targets.extend(page_targets)
+                    sources.fromlist(page_sources)
+                    targets.fromlist(page_targets)
                 if hooks is not None:
                     if hooks.should_checkpoint(len(profiles), self.frontend.clock.now()):
                         # Refresh fleet-health gauges so a checkpoint
@@ -651,8 +671,8 @@ class BidirectionalBFSCrawler:
         dead_letters: DeadLetterQueue,
         started: float,
         profiles: dict[int, ParsedProfile],
-        sources: list[int],
-        targets: list[int],
+        sources: array,
+        targets: array,
     ) -> CrawlDataset:
         """Materialise the dataset for the pages crawled so far."""
         fetch_stats = self.pool.combined_stats()
@@ -673,8 +693,8 @@ class BidirectionalBFSCrawler:
         )
         return CrawlDataset(
             profiles=profiles,
-            sources=np.array(sources, dtype=np.int64),
-            targets=np.array(targets, dtype=np.int64),
+            sources=np.frombuffer(sources, dtype=np.int64).copy(),
+            targets=np.frombuffer(targets, dtype=np.int64).copy(),
             stats=stats,
         )
 

@@ -223,8 +223,8 @@ def profile_to_json(profile: ParsedProfile) -> dict:
         "user_id": profile.user_id,
         "name": profile.name,
         "fields": {k: _encode_value(v) for k, v in profile.fields.items()},
-        "in_list": list(profile.in_list) if profile.in_list is not None else None,
-        "out_list": list(profile.out_list) if profile.out_list is not None else None,
+        "in_list": profile.in_list.tolist() if profile.in_list is not None else None,
+        "out_list": profile.out_list.tolist() if profile.out_list is not None else None,
         "declared_in": profile.declared_in,
         "declared_out": profile.declared_out,
     }
@@ -235,8 +235,8 @@ def profile_from_json(record: dict) -> ParsedProfile:
         user_id=record["user_id"],
         name=record["name"],
         fields={k: _decode_value(v) for k, v in record["fields"].items()},
-        in_list=tuple(record["in_list"]) if record["in_list"] is not None else None,
-        out_list=tuple(record["out_list"]) if record["out_list"] is not None else None,
+        in_list=record["in_list"],
+        out_list=record["out_list"],
         declared_in=record["declared_in"],
         declared_out=record["declared_out"],
     )

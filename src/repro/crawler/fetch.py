@@ -116,7 +116,7 @@ class Fetcher:
             "crawler.fetch_virtual_seconds",
             "Virtual time per completed fetch, per crawl machine",
             labels=("machine",),
-        )
+        ).labels(machine=self.ip)
         self._m_retries = registry.counter(
             "crawler.fetch_retries",
             "Retries performed, per machine and transient cause",
@@ -148,7 +148,7 @@ class Fetcher:
                     clock.advance(response.slow_by / max(1, self.parallelism))
                 self.breaker.record_success(clock.now())
                 self.stats.pages_fetched += 1
-                self._m_latency.observe(clock.now() - started, machine=self.ip)
+                self._m_latency.observe(clock.now() - started)
                 return response.payload
             if response.status == STATUS_NOT_FOUND:
                 self.breaker.record_success(clock.now())

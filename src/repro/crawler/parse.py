@@ -10,6 +10,7 @@ pulling out the public fields, the declared circle-list counts and the
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,22 +29,36 @@ class PageParseError(Exception):
     """
 
 
+#: Bound on the user ids the crawler holds: its circle-list entries are
+#: 4-byte unsigned, and it is the crawler's edge-key packing base
+#: (``repro.crawler.bfs``). The parser rejects any id at or above it.
+ID_LIMIT = 1 << 32
+
+
 @dataclass(frozen=True)
 class ParsedProfile:
     """One crawled profile: public fields plus circle-list observations.
 
     ``in_list`` / ``out_list`` are the user ids shown on the page (capped
-    at the display limit); ``declared_in`` / ``declared_out`` are the true
-    counts the page reports. ``None`` lists mean the owner hid them.
+    at the display limit) as ``array('I')``, 4 bytes per entry; any other
+    sequence given is converted, so parsed, loaded and hand-made profiles
+    compare equal. ``declared_in`` / ``declared_out`` are the true counts
+    the page reports. ``None`` lists mean the owner hid them.
     """
 
     user_id: int
     name: str
     fields: dict[str, Any] = field(default_factory=dict)
-    in_list: tuple[int, ...] | None = None
-    out_list: tuple[int, ...] | None = None
+    in_list: array | None = None
+    out_list: array | None = None
     declared_in: int = 0
     declared_out: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("in_list", "out_list"):
+            ids = getattr(self, name)
+            if ids is not None and not (type(ids) is array and ids.typecode == "I"):
+                object.__setattr__(self, name, array("I", ids))
 
     def has_field(self, key: str) -> bool:
         return key == "name" or key in self.fields
@@ -88,7 +103,7 @@ class ParsedProfile:
 _EXACT_INT = frozenset({int})
 
 
-def _parse_circle_list(page_user_id: int, which: str, view: Any) -> tuple[tuple[int, ...], int]:
+def _parse_circle_list(page_user_id: int, which: str, view: Any) -> tuple[array, int]:
     """Validate one circle-list view; raises :class:`PageParseError`."""
     user_ids = getattr(view, "user_ids", None)
     declared = getattr(view, "declared_count", None)
@@ -96,25 +111,33 @@ def _parse_circle_list(page_user_id: int, which: str, view: Any) -> tuple[tuple[
         raise PageParseError(
             f"page {page_user_id}: {which} circle list has no id sequence"
         )
-    if not user_ids or (set(map(type, user_ids)) <= _EXACT_INT and min(user_ids) >= 0):
+    clean = None
+    if set(map(type, user_ids)) <= _EXACT_INT:
         # Fast path, all C-level: every entry is exactly an int (no bool,
-        # no subclass, no numpy scalar) and none is negative.
-        clean = user_ids
-    else:
-        clean = []
+        # no subclass, no numpy scalar); the conversion overflows on an
+        # id outside [0, ID_LIMIT), which the loop below then names.
+        try:
+            clean = array("I", user_ids)
+        except OverflowError:
+            pass
+    if clean is None:
         for entry in user_ids:
-            if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
+            if (
+                not isinstance(entry, int)
+                or isinstance(entry, bool)
+                or not 0 <= entry < ID_LIMIT
+            ):
                 raise PageParseError(
                     f"page {page_user_id}: {which} circle list holds a non-id "
                     f"entry {entry!r}"
                 )
-            clean.append(entry)
+        clean = array("I", user_ids)
     if not isinstance(declared, int) or isinstance(declared, bool) or declared < len(clean):
         raise PageParseError(
             f"page {page_user_id}: {which} circle list declares an invalid "
             f"count {declared!r} for {len(clean)} shown ids"
         )
-    return tuple(clean), declared
+    return clean, declared
 
 
 def parse_profile_page(page: ProfilePage) -> ParsedProfile:
@@ -129,7 +152,11 @@ def parse_profile_page(page: ProfilePage) -> ParsedProfile:
     if page is None:
         raise PageParseError("empty page document")
     user_id = getattr(page, "user_id", None)
-    if not isinstance(user_id, int) or isinstance(user_id, bool) or user_id < 0:
+    if (
+        not isinstance(user_id, int)
+        or isinstance(user_id, bool)
+        or not 0 <= user_id < ID_LIMIT
+    ):
         raise PageParseError(f"page document has no usable user id: {user_id!r}")
     name = getattr(page, "name", None)
     if not isinstance(name, str):

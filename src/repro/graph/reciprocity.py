@@ -36,25 +36,34 @@ def reciprocated_edge_mask(graph: CSRGraph) -> np.ndarray:
     return keys[pos] == reverse if len(keys) else np.zeros(0, dtype=bool)
 
 
-def global_reciprocity(graph: CSRGraph) -> float:
-    """Fraction of directed edges whose reverse edge also exists."""
+def global_reciprocity(graph: CSRGraph, *, mask: np.ndarray | None = None) -> float:
+    """Fraction of directed edges whose reverse edge also exists
+    (``mask``: a :func:`reciprocated_edge_mask` the caller already built)."""
     if graph.n_edges == 0:
         return 0.0
-    return float(reciprocated_edge_mask(graph).mean())
+    if mask is None:
+        mask = reciprocated_edge_mask(graph)
+    return float(mask.mean())
 
 
-def relation_reciprocity(graph: CSRGraph, nodes: np.ndarray | None = None) -> np.ndarray:
+def relation_reciprocity(
+    graph: CSRGraph,
+    nodes: np.ndarray | None = None,
+    *,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
     """RR(u) per node (Equation 1); NaN for nodes with out-degree 0.
 
     One pass over the edges: ``|OS(u) ∩ IS(u)|`` is the number of
     ``u``'s out-edges whose reverse exists, a bincount of edge sources
-    over :func:`reciprocated_edge_mask`.
+    over :func:`reciprocated_edge_mask` (pass ``mask`` when the caller
+    already built it: each build sorts every edge key).
     """
+    if mask is None:
+        mask = reciprocated_edge_mask(graph)
     out_degrees = graph.out_degrees()
     sources = np.repeat(np.arange(graph.n), out_degrees)
-    mutual = np.bincount(
-        sources[reciprocated_edge_mask(graph)], minlength=graph.n
-    )
+    mutual = np.bincount(sources[mask], minlength=graph.n)
     result = np.full(graph.n, np.nan)
     has_out = out_degrees > 0
     result[has_out] = mutual[has_out] / out_degrees[has_out]

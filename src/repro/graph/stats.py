@@ -46,6 +46,7 @@ def summarize_graph(
     precomputed_undirected=None,
     engine: BFSEngine | None = None,
     sccs: ComponentDecomposition | None = None,
+    reciprocity: float | None = None,
 ) -> GraphSummary:
     """Compute the full structural summary of a graph.
 
@@ -53,8 +54,9 @@ def summarize_graph(
     estimates; the convergence procedure of Section 3.3.5 may stop
     earlier. Callers that already ran the Figure 5 sampling can pass the
     two distributions in to avoid recomputing them, an SCC
-    decomposition via ``sccs`` for the same reason, and an ``engine``
-    to share one BFS worker pool across every sweep.
+    decomposition via ``sccs`` and the global reciprocity via
+    ``reciprocity`` for the same reason, and an ``engine`` to share one
+    BFS worker pool across every sweep.
     """
     own_engine = engine is None
     if own_engine:
@@ -84,7 +86,9 @@ def summarize_graph(
             n_edges=graph.n_edges,
             mean_in_degree=mean_degree,
             mean_out_degree=mean_degree,
-            reciprocity=global_reciprocity(graph),
+            reciprocity=(
+                global_reciprocity(graph) if reciprocity is None else reciprocity
+            ),
             avg_path_length=dist_directed.mean,
             path_length_mode=dist_directed.mode,
             diameter=max(

@@ -15,13 +15,17 @@ frontier-depth gauges.  Design constraints, in order:
 
 Metrics support labels (named dimensions, e.g. ``status="429"`` or
 ``machine="10.0.0.3"``); each distinct label-value combination is an
-independent series.  Histograms use fixed log-spaced bucket edges
-(see :func:`log_buckets`) because the quantities we track — latencies,
-waits — span several orders of magnitude.
+independent series.  A hot path binds its series once with
+``metric.labels(**values)`` and records through the returned child,
+which skips the per-call label-key build.  Histograms use fixed
+log-spaced bucket edges (see :func:`log_buckets`) because the
+quantities we track — latencies, waits — span several orders of
+magnitude.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -77,6 +81,8 @@ class _Metric:
         self._series: dict[tuple[str, ...], object] = {}
 
     def _key(self, labels: Mapping[str, object]) -> tuple[str, ...]:
+        if not labels and not self.label_names:
+            return ()
         if len(labels) != len(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, got "
@@ -93,6 +99,15 @@ class _Metric:
     def clear(self) -> None:
         """Drop every recorded series (registration is kept)."""
         self._series.clear()
+
+    def labels(self, **values: object) -> "_Child":
+        """The series for ``values``, its key built once.
+
+        The child records exactly as the labelled call would; it creates
+        no series until it records, and it stays valid across
+        :meth:`clear` and registry resets.
+        """
+        return self._child_cls(self, self._key(values))
 
     # -- snapshot helpers ---------------------------------------------------
 
@@ -121,17 +136,45 @@ class _Metric:
         }
 
 
+class _Child:
+    """One series of a metric, bound by :meth:`_Metric.labels`.
+
+    Mutators check the registry's switch first, like the labelled calls,
+    so a disabled registry stays a no-op.
+    """
+
+    __slots__ = ("_metric", "_registry", "_key")
+
+    def __init__(self, metric: _Metric, key: tuple[str, ...]):
+        self._metric = metric
+        self._registry = metric._registry
+        self._key = key
+
+    def value(self) -> float:
+        return float(self._metric._series.get(self._key, 0.0))  # type: ignore[arg-type]
+
+
+class _CounterChild(_Child):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if self._registry.enabled:
+            self._metric._add(self._key, amount)
+
+
 class Counter(_Metric):
     """A monotonically increasing sum (requests served, retries, ...)."""
 
     kind = "counter"
+    _child_cls = _CounterChild
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
+        if self._registry.enabled:
+            self._add(self._key(labels), amount)
+
+    def _add(self, key: tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = self._key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
@@ -139,24 +182,40 @@ class Counter(_Metric):
         return float(self._series.get(self._key(labels), 0.0))  # type: ignore[arg-type]
 
 
+class _GaugeChild(_Child):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        if self._registry.enabled:
+            self._metric._series[self._key] = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        if self._registry.enabled:
+            self._metric._add(self._key, amount)
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
+
+
 class Gauge(_Metric):
     """A value that goes up and down (frontier size, pool totals)."""
 
     kind = "gauge"
+    _child_cls = _GaugeChild
 
     def set(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        self._series[self._key(labels)] = float(value)
+        if self._registry.enabled:
+            self._series[self._key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        if self._registry.enabled:
+            self._add(self._key(labels), amount)
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
+
+    def _add(self, key: tuple[str, ...], amount: float) -> None:
+        self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
         return float(self._series.get(self._key(labels), 0.0))  # type: ignore[arg-type]
@@ -175,6 +234,14 @@ class _HistSeries:
         self.maximum = -math.inf
 
 
+class _HistogramChild(_Child):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        if self._registry.enabled:
+            self._metric._observe(self._key, value)
+
+
 class Histogram(_Metric):
     """Distribution of observations over fixed log-spaced buckets.
 
@@ -184,6 +251,7 @@ class Histogram(_Metric):
     """
 
     kind = "histogram"
+    _child_cls = _HistogramChild
 
     def __init__(
         self,
@@ -200,9 +268,10 @@ class Histogram(_Metric):
         self.bucket_edges = edges
 
     def observe(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        key = self._key(labels)
+        if self._registry.enabled:
+            self._observe(self._key(labels), value)
+
+    def _observe(self, key: tuple[str, ...], value: float) -> None:
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _HistSeries(len(self.bucket_edges))
@@ -215,14 +284,7 @@ class Histogram(_Metric):
         series.bucket_counts[self._bucket_index(value)] += 1
 
     def _bucket_index(self, value: float) -> int:
-        lo, hi = 0, len(self.bucket_edges)
-        while lo < hi:  # first edge >= value (bisect_left over edges)
-            mid = (lo + hi) // 2
-            if self.bucket_edges[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect.bisect_left(self.bucket_edges, value)  # first edge >= value
 
     def _sample_value(self, raw: object) -> object:
         series: _HistSeries = raw  # type: ignore[assignment]

@@ -316,6 +316,8 @@ class HttpFrontend:
             "Faults injected by the schedule, per rule kind",
             labels=("kind",),
         )
+        #: One bound ``http.requests`` series per status seen.
+        self._status_counts: dict[int, Any] = {}
         # Materialise every status series up front so reports always carry
         # the full 200/403/404/408/429/503 breakdown, zeros included.
         for status in (
@@ -326,7 +328,15 @@ class HttpFrontend:
             STATUS_TOO_MANY_REQUESTS,
             STATUS_SERVER_ERROR,
         ):
-            self._m_requests.inc(0, status=status)
+            self._count_status(status, 0)
+
+    def _count_status(self, status: int, amount: float = 1.0) -> None:
+        series = self._status_counts.get(status)
+        if series is None:
+            series = self._status_counts[status] = self._m_requests.labels(
+                status=status
+            )
+        series.inc(amount)
 
     @property
     def faults(self) -> FaultSchedule | None:
@@ -370,7 +380,7 @@ class HttpFrontend:
         granted, retry_after = self._limiter.admit(request.client_ip)
         if not granted:
             self.requests_throttled += 1
-            self._m_requests.inc(status=STATUS_TOO_MANY_REQUESTS)
+            self._count_status(STATUS_TOO_MANY_REQUESTS)
             self._m_throttle_wait.observe(retry_after)
             return Response(STATUS_TOO_MANY_REQUESTS, retry_after=retry_after)
         decision = (
@@ -380,7 +390,7 @@ class HttpFrontend:
         )
         if decision is not None and decision.status is not None:
             self.requests_failed += 1
-            self._m_requests.inc(status=decision.status)
+            self._count_status(decision.status)
             self._m_faults.inc(kind=decision.kind)
             return Response(decision.status, retry_after=decision.retry_after)
         if self._pass_viewer:
@@ -396,5 +406,5 @@ class HttpFrontend:
                 payload = corrupt_payload(payload, decision.corrupt_mode)
                 self._m_faults.inc(kind=decision.kind)
         self.requests_served += 1
-        self._m_requests.inc(status=status)
+        self._count_status(status)
         return Response(status, payload, slow_by=slow_by)

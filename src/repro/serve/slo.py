@@ -89,6 +89,9 @@ class SLOTracker:
             labels=("op",),
             buckets=log_buckets(0.0001, 1.6, 24),
         )
+        #: Bound series, one per (op, status) and per op seen.
+        self._request_series: dict[tuple[str, int], Any] = {}
+        self._latency_series: dict[str, Any] = {}
         self.total = 0
         self.throttled = 0
         self.errors = 0
@@ -104,9 +107,17 @@ class SLOTracker:
         latency: float | None = None,
         hit: bool | None = None,
     ) -> None:
-        self._m_requests.inc(op=op, status=status)
+        requests = self._request_series.get((op, status))
+        if requests is None:
+            requests = self._request_series[(op, status)] = self._m_requests.labels(
+                op=op, status=status
+            )
+        requests.inc()
         if latency is not None:
-            self._latency.observe(latency, op=op)
+            series = self._latency_series.get(op)
+            if series is None:
+                series = self._latency_series[op] = self._latency.labels(op=op)
+            series.observe(latency)
         self.total += 1
         self.by_op[op] = self.by_op.get(op, 0) + 1
         key = str(status)

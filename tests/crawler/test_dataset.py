@@ -1,5 +1,7 @@
 """Tests for the crawl dataset container and serialisation."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -96,8 +98,8 @@ class TestSerialisation:
     def test_lists_and_counts_survive(self, dataset, tmp_path):
         dataset.save(tmp_path / "crawl")
         profile = CrawlDataset.load(tmp_path / "crawl").profiles[1]
-        assert profile.in_list == (2,)
-        assert profile.out_list == (2, 3)
+        assert profile.in_list == array("I", [2])
+        assert profile.out_list == array("I", [2, 3])
         assert profile.declared_out == 2
 
     def test_hidden_lists_survive_as_none(self, dataset, tmp_path):

@@ -1,10 +1,13 @@
 """Tests for profile-page parsing."""
 
+import json
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.crawler.dataset import profile_from_json, profile_to_json
 from repro.crawler.parse import PageParseError, parse_profile_page, ParsedProfile
 from repro.faults import CORRUPTION_MODES, corrupt_payload
 from repro.platform.models import ContactInfo, Gender, Place, Relationship
@@ -31,7 +34,7 @@ class TestParse:
         profile = parse_profile_page(page)
         assert profile.user_id == 7
         assert profile.fields["occupation"] == "Engineer"
-        assert profile.in_list == (1, 2)
+        assert profile.in_list == array("I", [1, 2])
         assert profile.declared_in == 2
         assert profile.declared_out == 5
 
@@ -171,7 +174,7 @@ class TestCorruptPageHardening:
     def test_intact_page_still_parses(self):
         profile = parse_profile_page(self.full_page())
         assert profile.user_id == 7
-        assert profile.in_list == (1, 2)
+        assert profile.in_list == array("I", [1, 2])
 
 
 class _Id(int):
@@ -182,7 +185,7 @@ def per_entry_parse(user_ids, declared):
     """The per-entry validation loop, kept as the fast path's oracle."""
     clean = []
     for entry in user_ids:
-        if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
+        if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < 2**32:
             raise PageParseError(
                 f"page 7: out circle list holds a non-id entry {entry!r}"
             )
@@ -192,7 +195,7 @@ def per_entry_parse(user_ids, declared):
             f"page 7: out circle list declares an invalid count {declared!r} "
             f"for {len(clean)} shown ids"
         )
-    return tuple(clean), declared
+    return array("I", clean), declared
 
 
 def outcome(parse, user_ids, declared):
@@ -240,6 +243,9 @@ class TestCircleListFastPath:
             [_Id(-4)],
             [1, None],
             [[1], 2],
+            [2**32 - 1],
+            [2**32],
+            [_Id(2**32)],
         ],
     )
     @pytest.mark.parametrize("container", [list, tuple])
@@ -258,4 +264,61 @@ class TestCircleListFastPath:
             )
 
     def test_list_and_tuple_parse_to_the_same_tuple(self):
-        assert via_page([4, 1, 4], 3) == via_page((4, 1, 4), 3) == ((4, 1, 4), 3)
+        assert via_page([4, 1, 4], 3) == via_page((4, 1, 4), 3) == (
+            array("I", [4, 1, 4]),
+            3,
+        )
+
+    def test_ids_below_the_pack_bound_only(self):
+        assert via_page([2**32 - 1], 1) == (array("I", [2**32 - 1]), 1)
+        for bad in ([2**32], [1, 2**40], (2**32,)):
+            with pytest.raises(PageParseError, match="non-id"):
+                via_page(bad, 2)
+
+    def test_page_user_id_below_the_pack_bound(self):
+        page = SimpleNamespace(user_id=2**32, name="Ada", fields={})
+        with pytest.raises(PageParseError, match="user id"):
+            parse_profile_page(page)
+
+
+class TestParsedProfileLists:
+    """Every profile holds its lists as ``array('I')``, however built."""
+
+    def test_sequences_become_uint32_arrays(self):
+        for given in ((3, 1, 3), [3, 1, 3], array("I", [3, 1, 3])):
+            profile = ParsedProfile(user_id=1, name="x", in_list=given, out_list=given)
+            for ids in (profile.in_list, profile.out_list):
+                assert type(ids) is array and ids.typecode == "I"
+                assert ids.tolist() == [3, 1, 3]
+
+    def test_hidden_lists_stay_none(self):
+        profile = ParsedProfile(user_id=1, name="x")
+        assert profile.in_list is None and profile.out_list is None
+
+    def test_equal_whatever_the_input_sequence(self):
+        a = ParsedProfile(user_id=1, name="x", in_list=(2, 5), out_list=())
+        b = ParsedProfile(user_id=1, name="x", in_list=[2, 5], out_list=[])
+        c = ParsedProfile(
+            user_id=1, name="x", in_list=array("I", [2, 5]), out_list=array("I")
+        )
+        assert a == b == c
+        assert a != ParsedProfile(user_id=1, name="x", in_list=(5, 2), out_list=())
+
+    def test_json_bytes_equal_for_tuple_and_array_input(self):
+        from_tuple = ParsedProfile(
+            user_id=1, name="x", in_list=(9, 2**32 - 1), out_list=None,
+            declared_in=3,
+        )
+        from_array = ParsedProfile(
+            user_id=1, name="x", in_list=array("I", [9, 2**32 - 1]),
+            out_list=None, declared_in=3,
+        )
+        encoded = json.dumps(profile_to_json(from_tuple))
+        assert encoded == json.dumps(profile_to_json(from_array))
+        assert '"in_list": [9, 4294967295]' in encoded
+        assert profile_from_json(json.loads(encoded)) == from_tuple
+
+    def test_ids_outside_uint32_are_refused(self):
+        for bad in ((-1,), (2**32,)):
+            with pytest.raises(OverflowError):
+                ParsedProfile(user_id=1, name="x", in_list=bad)

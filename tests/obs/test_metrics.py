@@ -261,6 +261,101 @@ class TestDisable:
         assert Registry(enabled=True).enabled is True
 
 
+def record(registry: Registry, bound: bool) -> None:
+    """The same recordings, through labelled calls or bound children."""
+    requests = registry.counter("http.requests", "reqs", labels=("status",))
+    latency = registry.histogram("lat", labels=("machine",))
+    depth = registry.gauge("depth", labels=("queue",))
+    pages = registry.counter("pages")
+    statuses = (200, 429, 200, 503, 200)
+    waits = (0.0005, 0.003, 0.04, 2.0, 900.0)
+    if bound:
+        by_status = {s: requests.labels(status=s) for s in set(statuses)}
+        machine = latency.labels(machine="10.0.0.1")
+        queue = depth.labels(queue="main")
+        for status, wait in zip(statuses, waits):
+            by_status[status].inc()
+            machine.observe(wait)
+            pages.inc()
+        queue.set(7)
+        queue.inc(2)
+        queue.dec()
+    else:
+        for status, wait in zip(statuses, waits):
+            requests.inc(status=status)
+            latency.observe(wait, machine="10.0.0.1")
+            pages.inc()
+        depth.set(7, queue="main")
+        depth.inc(2, queue="main")
+        depth.dec(queue="main")
+
+
+class TestBoundSeries:
+    def test_snapshots_byte_identical_to_labelled_calls(self):
+        labelled, bound = Registry(enabled=True), Registry(enabled=True)
+        record(labelled, bound=False)
+        record(bound, bound=True)
+        assert bound.to_json() == labelled.to_json()
+        assert bound.render_text() == labelled.render_text()
+
+    def test_child_reads_its_series(self, registry):
+        counter = registry.counter("c", labels=("status",))
+        child = counter.labels(status=200)
+        child.inc(3)
+        assert child.value() == counter.value(status="200") == 3
+
+    def test_unrecorded_child_adds_no_series(self, registry):
+        counter = registry.counter("c", labels=("status",))
+        counter.labels(status=200)
+        assert counter.samples() == []
+
+    def test_child_survives_reset(self, registry):
+        child = registry.counter("c", labels=("status",)).labels(status=200)
+        child.inc()
+        registry.reset()
+        child.inc()
+        assert child.value() == 1
+
+    def test_label_mismatch_rejected_when_binding(self, registry):
+        counter = registry.counter("c", labels=("status",))
+        with pytest.raises(ValueError):
+            counter.labels(code=200)
+        with pytest.raises(ValueError):
+            counter.labels()
+
+    def test_negative_increment_rejected(self, registry):
+        child = registry.counter("c", labels=("status",)).labels(status=200)
+        with pytest.raises(ValueError):
+            child.inc(-1)
+
+    def test_disabled_registry_children_are_noops(self):
+        registry = Registry(enabled=False)
+        record(registry, bound=True)
+        assert all(m["samples"] == [] for m in registry.snapshot()["metrics"])
+        registry.enable()
+        child = registry.counter("http.requests", labels=("status",)).labels(status=1)
+        registry.disable()
+        child.inc()
+        assert child.value() == 0
+
+    def test_unlabelled_metric_takes_the_empty_key(self, registry):
+        counter = registry.counter("c")
+        counter.inc()
+        counter.labels().inc()
+        assert counter.samples() == [{"labels": {}, "value": 2.0}]
+        with pytest.raises(ValueError):
+            counter.inc(status=200)
+
+    def test_bucket_index_is_first_edge_at_or_above(self, registry):
+        edges = (0.001, 0.01, 0.1, 1.0)
+        histogram = registry.histogram("h", buckets=edges)
+        for value in (0.0, 0.001, 0.0011, 0.01, 0.5, 1.0, 1.5, -3.0):
+            expected = next(
+                (i for i, edge in enumerate(edges) if edge >= value), len(edges)
+            )
+            assert histogram._bucket_index(value) == expected
+
+
 class TestDefaultRegistry:
     def test_global_registry_is_stable(self):
         assert get_registry() is get_registry()
