@@ -42,8 +42,10 @@ class ParsedProfile:
     ``in_list`` / ``out_list`` are the user ids shown on the page (capped
     at the display limit) as ``array('I')``, 4 bytes per entry; any other
     sequence given is converted, so parsed, loaded and hand-made profiles
-    compare equal. ``declared_in`` / ``declared_out`` are the true counts
-    the page reports. ``None`` lists mean the owner hid them.
+    compare equal. A served page's lists are ``array('I')`` already: the
+    parser keeps an exact-size copy, never the page's own array, and
+    needs no per-entry scan. ``declared_in`` / ``declared_out`` are the
+    true counts the page reports. ``None`` lists mean the owner hid them.
     """
 
     user_id: int
@@ -104,15 +106,23 @@ _EXACT_INT = frozenset({int})
 
 
 def _parse_circle_list(page_user_id: int, which: str, view: Any) -> tuple[array, int]:
-    """Validate one circle-list view; raises :class:`PageParseError`."""
+    """Validate one circle-list view; raises :class:`PageParseError`.
+
+    An ``array('I')`` (what the service renders) needs no entry check:
+    its type already bounds every id to [0, ID_LIMIT), so it is copied
+    with one exact-size memcpy. A tuple or list is checked entry by
+    entry, at C level when every entry is exactly an ``int``.
+    """
     user_ids = getattr(view, "user_ids", None)
     declared = getattr(view, "declared_count", None)
-    if not isinstance(user_ids, (tuple, list)):
+    clean = None
+    if type(user_ids) is array and user_ids.typecode == "I":
+        clean = array("I", user_ids)
+    elif not isinstance(user_ids, (tuple, list)):
         raise PageParseError(
             f"page {page_user_id}: {which} circle list has no id sequence"
         )
-    clean = None
-    if set(map(type, user_ids)) <= _EXACT_INT:
+    elif set(map(type, user_ids)) <= _EXACT_INT:
         # Fast path, all C-level: every entry is exactly an int (no bool,
         # no subclass, no numpy scalar); the conversion overflows on an
         # id outside [0, ID_LIMIT), which the loop below then names.

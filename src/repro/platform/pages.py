@@ -12,6 +12,7 @@ on its owner's state and the viewer's privacy class.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,9 +22,13 @@ from .privacy import SELF_CLASS
 
 @dataclass(frozen=True)
 class CircleListView:
-    """One flattened, possibly truncated circle list on a profile page."""
+    """One flattened, possibly truncated circle list on a profile page.
 
-    user_ids: tuple[int, ...]
+    Both renderers give ``user_ids`` as ``array('I')``, 4 bytes per
+    shown id; page bytes list the same ids (:func:`repro.serve.page_to_bytes`).
+    """
+
+    user_ids: array
     declared_count: int
 
     def __post_init__(self) -> None:
@@ -57,7 +62,7 @@ class ProfilePage:
 
 def truncate_list(user_ids: list[int], limit: int = CIRCLE_DISPLAY_LIMIT) -> CircleListView:
     """Apply the circle-list display cap, preserving the true count."""
-    return CircleListView(tuple(user_ids[:limit]), len(user_ids))
+    return CircleListView(array("I", user_ids[:limit]), len(user_ids))
 
 
 def render_for_class(service, owner_id: int, class_key: tuple) -> ProfilePage:

@@ -10,9 +10,10 @@ platform description of Section 2.1.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 import numpy as np
 
@@ -28,15 +29,16 @@ from .models import FieldValue, UserProfile
 from .pages import CircleListView, ProfilePage, render_for_class, truncate_list
 from .privacy import ANON_CLASS, FieldPrivacy, SELF_CLASS, member_needs, visible_to
 
-#: Bound on the cache of base users' contact sets behind ``in_circles``;
-#: one entry costs O(out-degree), so the cache stays far below the
-#: world size.
+#: Bound on the cache of base users' contact sets behind
+#: :meth:`GooglePlusService.contacts`; one entry costs O(out-degree), so
+#: the cache stays far below the world size.
 _MEMBER_SET_CACHE = 16_384
 
 
 def _row_list(row: np.ndarray, limit: int) -> CircleListView:
-    """A CSR row as a displayed circle list: prefix plus true count."""
-    return CircleListView(tuple(row[:limit].tolist()), len(row))
+    """A CSR row as a displayed circle list: its prefix cast to uint32
+    as an ``array('I')``, plus the true count."""
+    return CircleListView(array("I", row[:limit].astype(np.uint32).tobytes()), len(row))
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,14 @@ class GooglePlusService:
     followers in a :class:`~repro.platform.columnar.ColumnarCircles`
     CSR; neither is written after :meth:`ingest_world`.  Every write
     lands in a per-user copy-on-write overlay — a :class:`UserProfile`,
-    a :class:`CircleStore`, a follower dict or a notification list —
-    materialised from the base row on the user's first write of that
-    kind.  Users registered outside the ingest exist only in the
-    overlays, so an empty service plus :meth:`register` calls builds a
-    hand-made world.  Reads check the overlay, then the columns.
+    a :class:`CircleStore` or a follower dict — materialised from the
+    base row on the user's first write of that kind.  Notifications
+    copy nothing: the base feed (one ``added_to_circle`` per incoming
+    base link) is read from the CSR, and the overlay holds only the
+    notes appended since, plus a mark once the base feed is cleared.
+    Users registered outside the ingest exist only in the overlays, so
+    an empty service plus :meth:`register` calls builds a hand-made
+    world.  Reads check the overlay, then the columns.
     """
 
     def __init__(
@@ -124,10 +129,13 @@ class GooglePlusService:
         self._profiles: dict[int, UserProfile] = {}
         self._circles: dict[int, CircleStore] = {}
         self._followers: dict[int, dict[int, None]] = {}
+        #: Notes appended after the base feed (a registered user's whole
+        #: feed), and the base users whose base feed has been cleared.
         self._notes: dict[int, list[Notification]] = {}
+        self._base_feed_cleared: set[int] = set()
         #: Users registered outside the ingest, in signup order.
         self._joined: list[int] = []
-        #: Bounded cache of base users' contact sets for ``in_circles``.
+        #: Bounded cache of base users' contact sets (:meth:`contacts`).
         self._member_sets: dict[int, frozenset] = {}
 
     # -- mutation events -----------------------------------------------------
@@ -171,7 +179,6 @@ class GooglePlusService:
         self._profiles[user_id] = profile
         self._circles[user_id] = store
         self._followers[user_id] = {}
-        self._notes[user_id] = []
         self._joined.append(user_id)
 
     def ingest_world(
@@ -252,6 +259,8 @@ class GooglePlusService:
         return item
 
     def _base_store(self, user_id: int) -> CircleStore:
+        # The overlay supersedes the cached base contact set.
+        self._member_sets.pop(user_id, None)
         return self.base_circles.materialize_store(user_id, bool(self._exempt[user_id]))
 
     def _base_followers(self, user_id: int) -> dict[int, None]:
@@ -329,7 +338,7 @@ class GooglePlusService:
             self._own(self._followers, target_id, self._base_followers)[user_id] = None
             # Section 2.1: the added user is notified (circle name stays
             # private — only the fact of the add is revealed).
-            self._own(self._notes, target_id, self._base_notes).append(
+            self._notes.setdefault(target_id, []).append(
                 Notification(kind="added_to_circle", actor_id=user_id)
             )
         # Even a non-link add (an existing contact joining another circle)
@@ -381,11 +390,15 @@ class GooglePlusService:
             return circles.exempt_from_limit
         return bool(self._exempt[self._base(user_id)])
 
-    def in_circles(self, owner_id: int, viewer_id: int) -> bool:
-        """Whether the owner has the viewer in any circle."""
+    def contacts(self, owner_id: int) -> AbstractSet[int]:
+        """The owner's contacts (everyone in any circle) as a read-only
+        set: the live key view of a circle overlay, else a cached
+        frozenset of the base row.  Base rows never change, and an
+        owner's first circle write replaces the cached set, so neither
+        form goes stale."""
         circles = self._circles.get(owner_id)
         if circles is not None:
-            return circles.contains(viewer_id)
+            return circles.all_members.keys()
         owner_id = self._base(owner_id)
         members = self._member_sets.get(owner_id)
         if members is None:
@@ -393,7 +406,11 @@ class GooglePlusService:
                 self._member_sets.clear()
             members = frozenset(self.base_circles.out_slice(owner_id).tolist())
             self._member_sets[owner_id] = members
-        return viewer_id in members
+        return members
+
+    def in_circles(self, owner_id: int, viewer_id: int) -> bool:
+        """Whether the owner has the viewer in any circle."""
+        return viewer_id in self.contacts(owner_id)
 
     def member_of(self, owner_id: int, target_id: int, circle: str) -> bool:
         """Whether the owner's circle named ``circle`` holds the target
@@ -559,11 +576,17 @@ class GooglePlusService:
         return post
 
     def notifications(self, user_id: int, clear: bool = False) -> list[Notification]:
-        """The user's notification feed (optionally consuming it)."""
-        notes = self._notes.get(user_id)
-        items = list(notes) if notes is not None else self._base_notes(self._base(user_id))
+        """The user's notification feed (optionally consuming it): a base
+        user's uncleared base feed, then the notes appended since."""
+        has_base_feed = 0 <= user_id < self._n and user_id not in self._base_feed_cleared
+        if not has_base_feed:
+            self._require(user_id)
+        items = self._base_notes(user_id) if has_base_feed else []
+        items.extend(self._notes.get(user_id, ()))
         if clear:
-            self._notes[user_id] = []
+            self._notes.pop(user_id, None)
+            if has_base_feed:
+                self._base_feed_cleared.add(user_id)
         return items
 
     def plus_one(self, user_id: int, post_id: int) -> None:
@@ -575,7 +598,7 @@ class GooglePlusService:
             raise KeyError(f"unknown post id: {post_id}") from None
         if user_id not in post.plus_ones:
             post.plus_ones.add(user_id)
-            self._own(self._notes, post.author_id, self._base_notes).append(
+            self._notes.setdefault(post.author_id, []).append(
                 Notification(kind="plus_one", actor_id=user_id, subject_id=post_id)
             )
             self._notify("plus_one", user_id, post_id)

@@ -119,6 +119,8 @@ class ViewerClasser:
     is O(1); the per-owner *privacy needs* (does any field use
     EXTENDED_CIRCLES? which circles do CUSTOM fields reference?) are
     cached too, because they gate the expensive extended-circles scan.
+    Memoised class keys are interned, so the memo holds a handful of
+    distinct key tuples, not one per pair.
     """
 
     def __init__(self, service):
@@ -127,15 +129,14 @@ class ViewerClasser:
         self._needs: dict[int, tuple[bool, tuple[str, ...]]] = {}
         #: owner -> viewer -> class key
         self._memo: dict[int, dict[int, tuple]] = {}
+        #: class key -> its one shared instance
+        self._keys: dict[tuple, tuple] = {}
         #: viewer -> the accounts holding the viewer in circles.  With
-        #: the owner-side contact sets below, the extended bit becomes a
-        #: small-side set intersection instead of a fresh two-hop scan
-        #: for every new (owner, viewer) pair; both memos amortise
-        #: across the opposite axis (a viewer's followers serve every
-        #: owner they browse, an owner's contacts serve every viewer).
+        #: the service's owner-side contact sets, the extended bit
+        #: becomes a small-side set intersection instead of a fresh
+        #: two-hop scan for every new (owner, viewer) pair; a viewer's
+        #: followers serve every owner they browse.
         self._follower_sets: dict[int, set[int]] = {}
-        #: owner -> the owner's contacts (circle members, deduplicated).
-        self._followee_sets: dict[int, set[int]] = {}
 
     def needs(self, owner_id: int) -> tuple[bool, tuple[str, ...]]:
         cached = self._needs.get(owner_id)
@@ -159,15 +160,16 @@ class ViewerClasser:
         key = service.class_of(
             owner_id, viewer_id, self.needs(owner_id), self._in_extended
         )
-        per_owner[viewer_id] = key
+        key = per_owner[viewer_id] = self._keys.setdefault(key, key)
         return key
 
     def _in_extended(self, owner_id: int, viewer_id: int) -> bool:
         """The extended bit for a viewer not in the owner's own circles:
         whether any of the owner's contacts has the viewer in circles,
-        i.e. ``followees(owner) ∩ followers(viewer)`` is non-empty.
+        i.e. ``contacts(owner) ∩ followers(viewer)`` is non-empty.
         Equivalent to ``service.in_extended_circles``, but both sides
-        are memoised sets and the intersection walks the smaller one.
+        are sets (the owner's is the service's own contact set) and the
+        intersection walks the smaller one.
         """
         followers = self._follower_sets.get(viewer_id)
         if followers is None:
@@ -175,13 +177,10 @@ class ViewerClasser:
                 return False  # not a user: nobody has them in circles
             followers = set(self._service.followers(viewer_id))
             self._follower_sets[viewer_id] = followers
-        followees = self._followee_sets.get(owner_id)
-        if followees is None:
-            followees = set(self._service.followees(owner_id))
-            self._followee_sets[owner_id] = followees
-        if len(followees) <= len(followers):
-            return not followers.isdisjoint(followees)
-        return not followees.isdisjoint(followers)
+        contacts = self._service.contacts(owner_id)
+        if len(contacts) <= len(followers):
+            return not followers.isdisjoint(contacts)
+        return not contacts.isdisjoint(followers)
 
     def drop_owner(self, owner_id: int, needs: bool = False) -> None:
         self._memo.pop(owner_id, None)
@@ -192,11 +191,11 @@ class ViewerClasser:
         """A circle edit by ``actor_id`` on ``target_id`` remaps:
         viewers' classes w.r.t. the actor, the classes of every owner
         that has the actor in circles (two-hop reach flows through the
-        actor), the actor's contact set, and the target's follower set.
+        actor), and the target's follower set.  The actor's contact set
+        is the service's live overlay, so nothing of it is cached here.
         """
         memo = self._memo
         memo.pop(actor_id, None)
-        self._followee_sets.pop(actor_id, None)
         if target_id is not None:
             self._follower_sets.pop(target_id, None)
         followers = self._service.followers(actor_id)
@@ -210,7 +209,7 @@ class ViewerClasser:
         self._memo.clear()
         self._needs.clear()
         self._follower_sets.clear()
-        self._followee_sets.clear()
+        self._keys.clear()
 
 
 def _class_to_json(class_key: tuple) -> list:

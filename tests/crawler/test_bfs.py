@@ -1,5 +1,7 @@
 """Tests for the bidirectional BFS crawler against the simulated service."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ class TestBatchedEdgeDedup:
             # Repeat an entry and list the owner in both of its lists.
             lists = []
             for view in honest(user_id):
-                ids = view.user_ids + view.user_ids[:1] + (user_id,)
+                ids = view.user_ids + view.user_ids[:1] + array("I", [user_id])
                 lists.append(CircleListView(ids, view.declared_count + 2))
             return tuple(lists)
 

@@ -1,5 +1,7 @@
 """Tests for profile-page documents and circle-list truncation."""
 
+from array import array
+
 import pytest
 
 from repro.platform.pages import CircleListView, ProfilePage, truncate_list
@@ -22,18 +24,18 @@ class TestCircleListView:
 class TestTruncateList:
     def test_no_truncation_below_limit(self):
         view = truncate_list([1, 2, 3], limit=10)
-        assert view.user_ids == (1, 2, 3)
+        assert view.user_ids == array("I", [1, 2, 3])
         assert view.declared_count == 3
 
     def test_truncation_preserves_true_count(self):
         view = truncate_list(list(range(100)), limit=10)
         assert len(view.user_ids) == 10
         assert view.declared_count == 100
-        assert view.user_ids == tuple(range(10))
+        assert view.user_ids == array("I", range(10))
 
     def test_empty_list(self):
         view = truncate_list([])
-        assert view.user_ids == ()
+        assert view.user_ids == array("I")
         assert view.declared_count == 0
 
 

@@ -1,5 +1,7 @@
 """Tests for the Google+ service simulator."""
 
+from array import array
+
 import pytest
 
 from repro.platform.errors import (
@@ -148,8 +150,8 @@ class TestProfilePage:
         service.add_to_circle(0, 1)
         service.add_to_circle(2, 0)
         page = service.profile_page(0)
-        assert page.out_list.user_ids == (1,)
-        assert page.in_list.user_ids == (2,)
+        assert page.out_list.user_ids == array("I", [1])
+        assert page.in_list.user_ids == array("I", [2])
         assert page.out_list.declared_count == 1
 
     def test_private_lists_hidden_from_public(self, service):
