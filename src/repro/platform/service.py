@@ -29,16 +29,65 @@ from .models import FieldValue, UserProfile
 from .pages import CircleListView, ProfilePage, render_for_class, truncate_list
 from .privacy import ANON_CLASS, FieldPrivacy, SELF_CLASS, member_needs, visible_to
 
-#: Bound on the cache of base users' contact sets behind
-#: :meth:`GooglePlusService.contacts`; one entry costs O(out-degree), so
-#: the cache stays far below the world size.
-_MEMBER_SET_CACHE = 16_384
+_NO_FOLLOWERS = np.zeros(0, dtype=np.int64)
 
 
-def _row_list(row: np.ndarray, limit: int) -> CircleListView:
-    """A CSR row as a displayed circle list: its prefix cast to uint32
-    as an ``array('I')``, plus the true count."""
-    return CircleListView(array("I", row[:limit].astype(np.uint32).tobytes()), len(row))
+def _row_list(head: np.ndarray, count: int) -> CircleListView:
+    """A displayed circle list: the shown prefix of a row cast to
+    uint32 as an ``array('I')``, plus the true count."""
+    return CircleListView(array("I", head.astype(np.uint32).tobytes()), count)
+
+
+class FollowerDelta:
+    """A user's followers once a circle edit has targeted them: the base
+    in-row, minus the base followers removed since, plus the followers
+    appended since, in order.
+
+    Only new links are added and only live links removed, so an add
+    always appends (a re-added base follower moves to the end, as on a
+    re-follow) and a remove either drops an appended follower or masks
+    a base one.  The base row is a view of the CSR, never copied.
+    """
+
+    __slots__ = ("base", "removed", "added")
+
+    def __init__(self, base: np.ndarray = _NO_FOLLOWERS):
+        self.base = base
+        #: removed base follower -> its position in the base row
+        self.removed: dict[int, int] = {}
+        self.added: dict[int, None] = {}
+
+    def add(self, follower: int) -> None:
+        self.added[follower] = None
+
+    def remove(self, follower: int) -> None:
+        if follower in self.added:
+            del self.added[follower]
+        else:
+            self.removed[follower] = int(np.flatnonzero(self.base == follower)[0])
+
+    def __len__(self) -> int:
+        return len(self.base) - len(self.removed) + len(self.added)
+
+    def head(self, limit: int) -> np.ndarray:
+        """The first ``limit`` followers, in order."""
+        base = self.base
+        removed = self.removed
+        if removed:
+            # Each removal masks one base entry, so this prefix still
+            # holds ``limit`` survivors whenever the row has them.
+            base = base[: limit + len(removed)]
+            positions = np.fromiter(removed.values(), dtype=np.int64, count=len(removed))
+            keep = np.ones(len(base), dtype=bool)
+            keep[positions[positions < len(base)]] = False
+            base = base[keep]
+        if len(base) >= limit or not self.added:
+            return base[:limit]
+        added = np.fromiter(self.added, dtype=np.int64, count=len(self.added))
+        return np.concatenate((base, added))[:limit]
+
+    def tolist(self) -> list[int]:
+        return self.head(len(self)).tolist()
 
 
 @dataclass(frozen=True)
@@ -94,12 +143,14 @@ class GooglePlusService:
     :class:`~repro.platform.columnar.ColumnarProfileStore`, circles and
     followers in a :class:`~repro.platform.columnar.ColumnarCircles`
     CSR; neither is written after :meth:`ingest_world`.  Every write
-    lands in a per-user copy-on-write overlay — a :class:`UserProfile`,
-    a :class:`CircleStore` or a follower dict — materialised from the
-    base row on the user's first write of that kind.  Notifications
-    copy nothing: the base feed (one ``added_to_circle`` per incoming
-    base link) is read from the CSR, and the overlay holds only the
-    notes appended since, plus a mark once the base feed is cleared.
+    lands in a per-user copy-on-write overlay — a :class:`UserProfile`
+    or a :class:`CircleStore` materialised from the base row on the
+    user's first write of that kind.  Followers and notifications copy
+    nothing: a :class:`FollowerDelta` keeps the base in-row as a view
+    plus the followers removed and appended since, and the base feed
+    (one ``added_to_circle`` per incoming base link) is read from the
+    CSR, so the overlay holds only the notes appended since, plus a
+    mark once the base feed is cleared.
     Users registered outside the ingest exist only in the overlays, so
     an empty service plus :meth:`register` calls builds a hand-made
     world.  Reads check the overlay, then the columns.
@@ -128,15 +179,13 @@ class GooglePlusService:
         #: Copy-on-write overlays, keyed by user id.
         self._profiles: dict[int, UserProfile] = {}
         self._circles: dict[int, CircleStore] = {}
-        self._followers: dict[int, dict[int, None]] = {}
+        self._followers: dict[int, FollowerDelta] = {}
         #: Notes appended after the base feed (a registered user's whole
         #: feed), and the base users whose base feed has been cleared.
         self._notes: dict[int, list[Notification]] = {}
         self._base_feed_cleared: set[int] = set()
         #: Users registered outside the ingest, in signup order.
         self._joined: list[int] = []
-        #: Bounded cache of base users' contact sets (:meth:`contacts`).
-        self._member_sets: dict[int, frozenset] = {}
 
     # -- mutation events -----------------------------------------------------
 
@@ -178,7 +227,7 @@ class GooglePlusService:
         store.create_circle(DEFAULT_CIRCLE)
         self._profiles[user_id] = profile
         self._circles[user_id] = store
-        self._followers[user_id] = {}
+        self._followers[user_id] = FollowerDelta()
         self._joined.append(user_id)
 
     def ingest_world(
@@ -259,12 +308,10 @@ class GooglePlusService:
         return item
 
     def _base_store(self, user_id: int) -> CircleStore:
-        # The overlay supersedes the cached base contact set.
-        self._member_sets.pop(user_id, None)
         return self.base_circles.materialize_store(user_id, bool(self._exempt[user_id]))
 
-    def _base_followers(self, user_id: int) -> dict[int, None]:
-        return dict.fromkeys(self.base_circles.in_slice(user_id).tolist())
+    def _base_followers(self, user_id: int) -> FollowerDelta:
+        return FollowerDelta(self.base_circles.in_slice(user_id))
 
     def _base_notes(self, user_id: int) -> list[Notification]:
         """The base feed: one ``added_to_circle`` per incoming link."""
@@ -335,7 +382,7 @@ class GooglePlusService:
         self._require(target_id)
         is_new_link = circles.add(target_id, circle)
         if is_new_link:
-            self._own(self._followers, target_id, self._base_followers)[user_id] = None
+            self._own(self._followers, target_id, self._base_followers).add(user_id)
             # Section 2.1: the added user is notified (circle name stays
             # private — only the fact of the add is revealed).
             self._notes.setdefault(target_id, []).append(
@@ -353,7 +400,7 @@ class GooglePlusService:
         circles = self._own(self._circles, user_id, self._base_store)
         link_removed = circles.remove(target_id, circle)
         if link_removed:
-            self._own(self._followers, target_id, self._base_followers).pop(user_id, None)
+            self._own(self._followers, target_id, self._base_followers).remove(user_id)
         self._notify("circle_remove", user_id, target_id)
         return link_removed
 
@@ -368,7 +415,7 @@ class GooglePlusService:
         """Users that have ``user_id`` in circles ("Have user in circles")."""
         followers = self._followers.get(user_id)
         if followers is not None:
-            return list(followers)
+            return followers.tolist()
         return self.base_circles.in_slice(self._base(user_id)).tolist()
 
     def out_degree(self, user_id: int) -> int:
@@ -390,27 +437,25 @@ class GooglePlusService:
             return circles.exempt_from_limit
         return bool(self._exempt[self._base(user_id)])
 
-    def contacts(self, owner_id: int) -> AbstractSet[int]:
-        """The owner's contacts (everyone in any circle) as a read-only
-        set: the live key view of a circle overlay, else a cached
-        frozenset of the base row.  Base rows never change, and an
-        owner's first circle write replaces the cached set, so neither
-        form goes stale."""
-        circles = self._circles.get(owner_id)
-        if circles is not None:
-            return circles.all_members.keys()
-        owner_id = self._base(owner_id)
-        members = self._member_sets.get(owner_id)
-        if members is None:
-            if len(self._member_sets) >= _MEMBER_SET_CACHE:
-                self._member_sets.clear()
-            members = frozenset(self.base_circles.out_slice(owner_id).tolist())
-            self._member_sets[owner_id] = members
-        return members
-
     def in_circles(self, owner_id: int, viewer_id: int) -> bool:
         """Whether the owner has the viewer in any circle."""
-        return viewer_id in self.contacts(owner_id)
+        circles = self._circles.get(owner_id)
+        if circles is not None:
+            return viewer_id in circles.all_members
+        # A list walk: most rows hold a few dozen ids, where a numpy
+        # comparison costs several times more in call overhead.
+        return viewer_id in self.base_circles.out_slice(self._base(owner_id)).tolist()
+
+    def has_contact_in(self, owner_id: int, users: AbstractSet[int]) -> bool:
+        """Whether the owner has any of ``users`` in circles.  An overlay
+        owner's key view and ``users`` probe each other from the smaller
+        side; a base row is probed against ``users`` in one C-level walk.
+        Nothing is kept."""
+        circles = self._circles.get(owner_id)
+        if circles is not None:
+            return not circles.all_members.keys().isdisjoint(users)
+        row = self.base_circles.out_slice(self._base(owner_id))
+        return not users.isdisjoint(row.tolist())
 
     def member_of(self, owner_id: int, target_id: int, circle: str) -> bool:
         """Whether the owner's circle named ``circle`` holds the target
@@ -439,12 +484,11 @@ class GooglePlusService:
     def in_extended_circles(self, owner_id: int, viewer_id: int) -> bool:
         """Whether the viewer is in the owner's circles, or in the
         circles of any of the owner's contacts (the EXTENDED_CIRCLES
-        reach; O(owner's out-degree))."""
-        if self.in_circles(owner_id, viewer_id):
-            return True
-        return any(
-            self.in_circles(contact, viewer_id) for contact in self.followees(owner_id)
-        )
+        reach): the owner or one of its contacts follows the viewer."""
+        if viewer_id not in self:
+            return False  # not a user: nobody has them in circles
+        followers = frozenset(self.followers(viewer_id))
+        return owner_id in followers or self.has_contact_in(owner_id, followers)
 
     def circles_containing(self, owner_id, viewer_id, names) -> tuple[str, ...]:
         """Which of the owner's named circles hold the viewer, in the
@@ -532,14 +576,16 @@ class GooglePlusService:
         limit = self.circle_display_limit
         followers = self._followers.get(user_id)
         if followers is not None:
-            in_list = truncate_list(list(followers), limit)
+            in_list = _row_list(followers.head(limit), len(followers))
         else:
-            in_list = _row_list(self.base_circles.in_slice(self._base(user_id)), limit)
+            row = self.base_circles.in_slice(self._base(user_id))
+            in_list = _row_list(row[:limit], len(row))
         circles = self._circles.get(user_id)
         if circles is not None:
             out_list = truncate_list(circles.flattened(), limit)
         else:
-            out_list = _row_list(self.base_circles.out_slice(self._base(user_id)), limit)
+            row = self.base_circles.out_slice(self._base(user_id))
+            out_list = _row_list(row[:limit], len(row))
         return in_list, out_list
 
     def profile_page(self, user_id: int, viewer_id: int | None = None) -> ProfilePage:

@@ -121,6 +121,11 @@ class ViewerClasser:
     cached too, because they gate the expensive extended-circles scan.
     Memoised class keys are interned, so the memo holds a handful of
     distinct key tuples, not one per pair.
+
+    The extended reach is read from the viewer's side: it holds iff one
+    of the owner's contacts follows the viewer.  So the classer keeps
+    one follower set per viewer whose class needs that bit, and nothing
+    per owner.
     """
 
     def __init__(self, service):
@@ -131,11 +136,8 @@ class ViewerClasser:
         self._memo: dict[int, dict[int, tuple]] = {}
         #: class key -> its one shared instance
         self._keys: dict[tuple, tuple] = {}
-        #: viewer -> the accounts holding the viewer in circles.  With
-        #: the service's owner-side contact sets, the extended bit
-        #: becomes a small-side set intersection instead of a fresh
-        #: two-hop scan for every new (owner, viewer) pair; a viewer's
-        #: followers serve every owner they browse.
+        #: viewer -> the accounts holding the viewer in circles; it
+        #: serves every owner the viewer browses.
         self._follower_sets: dict[int, set[int]] = {}
 
     def needs(self, owner_id: int) -> tuple[bool, tuple[str, ...]]:
@@ -165,22 +167,16 @@ class ViewerClasser:
 
     def _in_extended(self, owner_id: int, viewer_id: int) -> bool:
         """The extended bit for a viewer not in the owner's own circles:
-        whether any of the owner's contacts has the viewer in circles,
-        i.e. ``contacts(owner) ∩ followers(viewer)`` is non-empty.
-        Equivalent to ``service.in_extended_circles``, but both sides
-        are sets (the owner's is the service's own contact set) and the
-        intersection walks the smaller one.
-        """
+        whether ``followers(viewer) ∩ contacts(owner)`` is non-empty.
+        Equivalent to ``service.in_extended_circles``; the owner side is
+        its circle overlay's keys or its base row, read in place."""
         followers = self._follower_sets.get(viewer_id)
         if followers is None:
             if viewer_id not in self._service:
                 return False  # not a user: nobody has them in circles
             followers = set(self._service.followers(viewer_id))
             self._follower_sets[viewer_id] = followers
-        contacts = self._service.contacts(owner_id)
-        if len(contacts) <= len(followers):
-            return not followers.isdisjoint(contacts)
-        return not contacts.isdisjoint(followers)
+        return bool(followers) and self._service.has_contact_in(owner_id, followers)
 
     def drop_owner(self, owner_id: int, needs: bool = False) -> None:
         self._memo.pop(owner_id, None)
@@ -191,8 +187,9 @@ class ViewerClasser:
         """A circle edit by ``actor_id`` on ``target_id`` remaps:
         viewers' classes w.r.t. the actor, the classes of every owner
         that has the actor in circles (two-hop reach flows through the
-        actor), and the target's follower set.  The actor's contact set
-        is the service's live overlay, so nothing of it is cached here.
+        actor), and the target's follower set.  The actor's contacts
+        are read from the service on each test, so nothing of them is
+        cached here.
         """
         memo = self._memo
         memo.pop(actor_id, None)

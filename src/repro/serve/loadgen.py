@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Mapping
@@ -58,7 +59,42 @@ __all__ = [
     "LoadGenerator",
     "ServingStack",
     "op_of",
+    "trace_record_bytes",
 ]
+
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+
+
+def trace_record_bytes(record: list) -> bytes:
+    """``json.dumps(record, separators=(",", ":"))`` as UTF-8 bytes.
+
+    A trace record is ``[index, client, op, path, status, latency,
+    body]``: three ints, three strings and a finite float or None.  That
+    shape is written directly with the encoder's own string escaper and
+    float repr; anything else goes through :func:`json.dumps`.
+    """
+    index, client, op, path, status, latency, body = record
+    if (
+        type(index) is int
+        and type(client) is int
+        and type(status) is int
+        and type(op) is str
+        and type(path) is str
+        and type(body) is str
+    ):
+        if latency is None:
+            shown = "null"
+        elif type(latency) is float and math.isfinite(latency):
+            shown = _float_repr(latency)
+        else:
+            shown = None
+        if shown is not None:
+            return (
+                f"[{index},{client},{_encode_str(op)},{_encode_str(path)},"
+                f"{status},{shown},{_encode_str(body)}]"
+            ).encode()
+    return json.dumps(record, separators=(",", ":")).encode("utf-8")
 
 
 class EventClock(SimulatedClock):
@@ -88,9 +124,6 @@ class EventClock(SimulatedClock):
 
     def pending(self) -> int:
         return len(self._events)
-
-    def next_event_time(self) -> float | None:
-        return self._events[0][0] if self._events else None
 
     def clear_scheduled(self) -> None:
         self._events.clear()
@@ -327,7 +360,7 @@ class ServingStack:
 
 
 class _Client:
-    __slots__ = ("index", "user_id", "ip", "rng", "next_at")
+    __slots__ = ("index", "user_id", "ip", "rng", "next_at", "fire")
 
     def __init__(self, index: int, user_id: int, ip: str, rng: np.random.Generator):
         self.index = index
@@ -335,6 +368,8 @@ class _Client:
         self.ip = ip
         self.rng = rng
         self.next_at = 0.0
+        #: The client's clock callback, built once.
+        self.fire = None
 
 
 class LoadGenerator:
@@ -397,7 +432,9 @@ class LoadGenerator:
             user_id = users[int(assignment[index % len(users)])]
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1, index]))
             ip = f"10.{(index // 62500) % 256}.{(index // 250) % 250}.{index % 250}"
-            self._clients.append(_Client(index, user_id, ip, rng))
+            client = _Client(index, user_id, ip, rng)
+            client.fire = partial(self._fire, client)
+            self._clients.append(client)
         self.n_requests = 0
         self._digest = bytes(32)
         self.trace: list[tuple] | None = [] if keep_trace else None
@@ -436,7 +473,7 @@ class LoadGenerator:
         return self._digest.hex()
 
     def _schedule(self, client: _Client) -> None:
-        self._clock.schedule(client.next_at, partial(self._fire, client), tie=client.index)
+        self._clock.schedule(client.next_at, client.fire, tie=client.index)
 
     def _pick_op(self, client: _Client) -> str:
         draw = float(client.rng.random())
@@ -483,7 +520,7 @@ class LoadGenerator:
             latency,
             body,
         ]
-        encoded = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        encoded = trace_record_bytes(record)
         self._digest = hashlib.sha256(self._digest + encoded).digest()
         if self.trace is not None:
             self.trace.append(tuple(record))
@@ -502,11 +539,11 @@ class LoadGenerator:
         """Advance the clock until ``count`` more requests have fired."""
         target = self.n_requests + int(count)
         clock = self._clock
-        while self.n_requests < target:
-            when = clock.next_event_time()
-            if when is None:
-                break
-            clock.advance(when - clock.now())
+        # Step to the earliest scheduled event each time, reading the
+        # heap head and the time straight off the clock.
+        events = clock._events
+        while self.n_requests < target and events:
+            clock.advance(events[0][0] - clock._now)
         return self.n_requests
 
     def run_until(self, until: float) -> None:

@@ -182,6 +182,8 @@ class JournalWriter:
         self._m_records = registry.counter(
             "store.journal_records", "Journal records appended", labels=("kind",)
         )
+        #: One bound ``store.journal_records`` series per kind seen.
+        self._records_by_kind: dict[int, object] = {}
         self._m_flushes = registry.counter(
             "store.journal_flushes", "Journal batch flushes"
         )
@@ -233,7 +235,10 @@ class JournalWriter:
         self._buffer.append(record)
         self._buffered_bytes += len(record)
         self._appended = True
-        self._m_records.inc(kind=kind)
+        series = self._records_by_kind.get(kind)
+        if series is None:
+            series = self._records_by_kind[kind] = self._m_records.labels(kind=kind)
+        series.inc()
         if (
             len(self._buffer) >= self._flush_records
             or self._buffered_bytes >= self._flush_bytes

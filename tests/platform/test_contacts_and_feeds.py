@@ -1,16 +1,26 @@
 """Shared serving state against oracles that rebuild it from scratch.
 
-``GooglePlusService.contacts`` answers ``in_circles`` and the page
-cache's extended-reach test from one set per owner: a cached frozenset
-of a base row, or the live key view of a circle overlay.  Random
-interleavings of circle adds and removals — by base owners, by owners
-with an overlay, and by owners whose base set was cached before their
-overlay existed — must keep it equal to a freshly built set.
+The service keeps no contact set per owner: ``in_circles`` and
+``has_contact_in`` read the owner's row or circle overlay in place, and
+the page cache answers the extended reach from the viewer's own
+follower set.  Random interleavings of circle adds and removals — by
+base owners, by owners with an overlay and by registered owners, one
+of them with a negative id — must keep every circle test equal to sets
+rebuilt from the operations.
+
+A follower overlay is a delta over the base in-row: the base followers
+removed since, and the followers appended since.  Random adds and
+removes, aimed at re-adding removed base followers and removing
+appended ones, must keep ``followers``, ``in_degree`` and the rendered
+in-list equal to a plain ordered-dict model, in which a re-added
+follower moves to the end.
 
 Notification feeds keep only the notes appended after the base feed;
 interleaved circle adds, +1s and clearing reads must give exactly the
 feeds of :class:`tests.reference_feeds.MaterialisingFeeds`.
 """
+
+from array import array
 
 import numpy as np
 import pytest
@@ -27,8 +37,11 @@ CIRCLES = ("friends", "family")
 N_OPS = 300
 
 
-def small_world(seed: int):
-    world = build_world(WorldConfig(n_users=300, seed=seed, engine="fast"))
+def small_world(seed: int, circle_display_limit: int = 10_000):
+    config = WorldConfig(
+        n_users=300, seed=seed, engine="fast", circle_display_limit=circle_display_limit
+    )
+    world = build_world(config)
     service = world.service
     # Two accounts that join after the ingest live only in overlays.
     for user_id in (300, 301):
@@ -56,7 +69,7 @@ class ContactModel:
     def of(self, owner: int) -> set[int]:
         members = self._sets.get(owner)
         if members is None:
-            row = self._base.out_slice(owner).tolist() if owner < self._n else []
+            row = self._base.out_slice(owner).tolist() if 0 <= owner < self._n else []
             members = self._sets[owner] = set(row)
         return members
 
@@ -69,31 +82,33 @@ class ContactModel:
 def test_contacts_match_a_fresh_set_across_circle_edits(seed):
     service = small_world(seed)
     rng = np.random.default_rng(seed)
-    pool = pick_pool(service, rng)
+    # A registered account may carry a negative id; it sits in no base
+    # row, so it must never pass for a base user.
+    service.register(UserProfile(user_id=-7, name="U-7"), invited_by=0)
+    pool = [-7, *pick_pool(service, rng)]
     cache = PageCache(service, EventClock(0.0))
     for owner in pool:
         # An EXTENDED_CIRCLES field makes the class key carry the reach bit.
         service.update_field(owner, "occupation", f"job {owner}", EXTENDED_CIRCLES)
-    # Cache every pool owner's base set, and warm the classer, before
-    # any owner gets a circle overlay.
+    # Warm the classer's memo and follower sets before any owner gets a
+    # circle overlay.
     for owner in pool:
-        service.contacts(owner)
         for viewer in pool:
             if viewer != owner:
                 cache.class_of(owner, viewer)
     model = ContactModel(service)
 
     def check(owner: int) -> None:
-        contacts = service.contacts(owner)
-        assert contacts == frozenset(model.of(owner))
-        assert len(contacts) == len(model.of(owner))
+        assert set(service.followees(owner)) == model.of(owner)
+        assert service.out_degree(owner) == len(model.of(owner))
         for viewer in pool:
             if viewer == owner:
                 continue
-            assert service.in_circles(owner, viewer) == (viewer in model.of(owner))
+            circled = viewer in model.of(owner)
+            assert service.in_circles(owner, viewer) == circled
             extended = model.extended(owner, viewer)
             assert service.in_extended_circles(owner, viewer) == extended
-            assert cache.class_of(owner, viewer)[2] == extended
+            assert cache.class_of(owner, viewer)[1:3] == (circled, extended)
 
     for step in range(N_OPS):
         actor, target = (int(u) for u in rng.choice(pool, size=2, replace=False))
@@ -111,18 +126,141 @@ def test_contacts_match_a_fresh_set_across_circle_edits(seed):
         check(owner)
 
 
-def test_overlay_contacts_are_live_and_replace_the_cached_base_set():
+def test_circle_tests_read_an_overlay_owner_live():
     service = small_world(4)
     owner = int(np.argmax(np.diff(service.base_circles.flat_indptr)))
-    before = service.contacts(owner)
-    assert isinstance(before, frozenset) and before
-    victim = next(iter(before))
+    row = service.base_circles.out_slice(owner).tolist()
+    victim, other = row[0], row[1]
+    assert service.in_circles(owner, victim)
+    assert service.has_contact_in(owner, {victim, 300})
     service.remove_from_circle(owner, victim)
-    after = service.contacts(owner)
-    assert victim not in after and after == before - {victim}
-    assert owner not in service._member_sets
+    assert not service.in_circles(owner, victim)
+    assert not service.has_contact_in(owner, {victim, 300})
+    assert service.has_contact_in(owner, {victim, other})
+    service.add_to_circle(owner, 300)
+    assert service.in_circles(owner, 300)
+    assert service.has_contact_in(owner, {victim, 300})
     service.add_to_circle(owner, victim)
-    assert victim in after  # the overlay's set is a live view
+    assert service.in_circles(owner, victim)
+    assert service.has_contact_in(owner, {victim})
+    assert not service.has_contact_in(owner, set())
+
+
+class FollowerModel:
+    """Each user's followers as an ordered dict, seeded from the base
+    in-row and updated by the operations alone: a link that dies is
+    popped, and a new one is appended."""
+
+    def __init__(self, service):
+        self._base = service.base_circles
+        self._n = len(service.base_circles.in_indptr) - 1
+        self._followers: dict[int, dict[int, None]] = {}
+
+    def base(self, user: int) -> list[int]:
+        return self._base.in_slice(user).tolist() if 0 <= user < self._n else []
+
+    def of(self, user: int) -> dict[int, None]:
+        followers = self._followers.get(user)
+        if followers is None:
+            followers = self._followers[user] = dict.fromkeys(self.base(user))
+        return followers
+
+
+def check_followers(service, model, user: int) -> None:
+    expected = list(model.of(user))
+    assert service.followers(user) == expected
+    assert service.in_degree(user) == len(expected)
+    in_list, _ = service.circle_lists(user)
+    limit = service.circle_display_limit
+    assert in_list.user_ids == array("I", expected[:limit])
+    assert in_list.declared_count == len(expected)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_follower_overlays_match_an_ordered_dict_model(seed):
+    service = small_world(seed, circle_display_limit=6)
+    rng = np.random.default_rng(200 + seed)
+    pool = pick_pool(service, rng, size=12)
+    model = FollowerModel(service)
+    counts = {"readd_base": 0, "remove_appended": 0, "remove_base": 0}
+    removed_base: dict[int, set[int]] = {user: set() for user in pool}
+    for _ in range(N_OPS):
+        target = int(rng.choice(pool))
+        followers = model.of(target)
+        if followers and rng.random() < 0.45:
+            actor = int(rng.choice(list(followers)))
+            base = actor in model.base(target)
+            if base and actor not in removed_base[target]:
+                counts["remove_base"] += 1
+                removed_base[target].add(actor)
+            else:
+                counts["remove_appended"] += 1
+            assert service.remove_from_circle(actor, target)
+            del followers[actor]
+        else:
+            # Removed base followers come back often; others are new.
+            candidates = sorted(removed_base[target]) or pool
+            actor = int(rng.choice(candidates if rng.random() < 0.6 else pool))
+            if actor == target:
+                continue
+            is_new = service.add_to_circle(actor, target, CIRCLES[int(rng.integers(2))])
+            assert is_new == (actor not in followers)
+            if is_new:
+                if actor in removed_base[target]:
+                    counts["readd_base"] += 1
+                followers[actor] = None
+        check_followers(service, model, target)
+    for user in pool:
+        check_followers(service, model, user)
+    assert min(counts.values()) > 0, counts
+
+
+def test_a_re_added_base_follower_moves_to_the_end():
+    service = small_world(6, circle_display_limit=3)
+    target = int(np.argmax(np.diff(service.base_circles.in_indptr)))
+    base = service.base_circles.in_slice(target).tolist()
+    assert len(base) > 4
+    newcomer = next(u for u in range(300) if u != target and u not in base)
+    model = FollowerModel(service)
+    steps = [
+        ("remove", base[0]),
+        ("add", newcomer),
+        ("add", base[0]),
+        ("remove", base[1]),
+        ("remove", newcomer),
+        ("remove", base[0]),
+        ("add", base[0]),
+        ("add", newcomer),
+    ]
+    for op, actor in steps:
+        if op == "add":
+            assert service.add_to_circle(actor, target)
+            model.of(target)[actor] = None
+        else:
+            assert service.remove_from_circle(actor, target)
+            del model.of(target)[actor]
+        check_followers(service, model, target)
+    assert service.followers(target) == base[2:] + [base[0], newcomer]
+    # The overlay reads the base row in place instead of copying it.
+    delta = service._followers[target]
+    assert np.shares_memory(delta.base, service.base_circles.in_sources)
+    assert sorted(delta.removed) == sorted(base[:2])
+    assert list(delta.added) == [base[0], newcomer]
+
+
+def test_registered_users_start_from_an_empty_base():
+    service = small_world(7, circle_display_limit=2)
+    model = FollowerModel(service)
+    for actor in (5, 9, 301, 12):
+        assert service.add_to_circle(actor, 300)
+        model.of(300)[actor] = None
+    check_followers(service, model, 300)
+    for actor in (9, 301):
+        assert service.remove_from_circle(actor, 300)
+        del model.of(300)[actor]
+    check_followers(service, model, 300)
+    assert service.followers(300) == [5, 12]
+    assert service.in_degree(301) == 0 and service.followers(301) == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

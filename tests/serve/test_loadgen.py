@@ -2,7 +2,10 @@
 the event clock dispatches exactly, and an exported generator resumes
 bit-identically on a rebuilt world."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import Registry
 from repro.serve import (
@@ -12,6 +15,7 @@ from repro.serve import (
     READ_HEAVY,
     build_traffic,
 )
+from repro.serve.loadgen import trace_record_bytes
 from repro.synth import WorldConfig, build_world
 
 USERS = 1_200
@@ -182,3 +186,53 @@ class TestValidation:
     def test_think_mean_positive(self):
         with pytest.raises(ValueError):
             make_traffic(think_mean=0.0)
+
+
+#: Path text with the characters JSON must escape or may pass through:
+#: quotes, backslashes, control characters, non-ASCII and astral ones.
+_path_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é漢😀'),
+        st.characters(),
+    ),
+    max_size=24,
+)
+_latency = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, 0.0004]),
+)
+_body = st.one_of(st.just(""), st.binary(min_size=32, max_size=32).map(bytes.hex))
+
+
+class TestTraceRecordBytes:
+    """The hand-rolled trace encoder writes exactly what json.dumps does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        index=st.integers(min_value=0, max_value=2**63),
+        client=st.integers(min_value=0, max_value=10**6),
+        op=st.sampled_from(["browse", "stream", "search", "circle_edit", "plus_one"]),
+        path=_path_text.map(lambda text: "/search?q=" + text),
+        status=st.sampled_from([200, 404, 408, 429, 503]),
+        latency=_latency,
+        body=_body,
+    )
+    def test_matches_json_dumps(self, index, client, op, path, status, latency, body):
+        record = [index, client, op, path, status, latency, body]
+        expected = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        assert trace_record_bytes(record) == expected
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            [0, 1, "browse", "/u/1", 200, float("inf"), ""],
+            [0, 1, "browse", "/u/1", 200, float("nan"), ""],
+            [True, 1, "browse", "/u/1", 200, 0.5, ""],
+            [0, 1, "browse", "/u/1", 200, 1, ""],
+            [0, 1, "browse", None, 200, 0.5, ""],
+        ],
+    )
+    def test_other_shapes_fall_back_to_json_dumps(self, odd):
+        expected = json.dumps(odd, separators=(",", ":")).encode("utf-8")
+        assert trace_record_bytes(odd) == expected

@@ -6,7 +6,8 @@ import struct
 
 import pytest
 
-from repro.obs.metrics import Registry
+from repro.obs.metrics import Counter, Registry
+from repro.store import CampaignConfig, CrawlCampaign
 from repro.store.journal import (
     HEADER_SIZE,
     JournalError,
@@ -174,3 +175,41 @@ class TestTruncateTo:
         with pytest.raises(ValueError):
             journal.truncate_to(journal.offset + 1)
         journal.close()
+
+
+class _LabelledCalls:
+    """A stand-in for a bound counter child that records through the
+    labelled call instead."""
+
+    def __init__(self, counter: Counter, values: dict):
+        self._counter = counter
+        self._values = values
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._counter.inc(amount, **self._values)
+
+
+def campaign_registry(tmp_path, name: str) -> Registry:
+    registry = Registry(enabled=True)
+    config = CampaignConfig(n_users=400, seed=3, checkpoint_every_pages=100)
+    CrawlCampaign(tmp_path / name, config).run(registry=registry)
+    # The one wall-clock series: checkpoint write time.
+    registry.get("store.checkpoint_seconds").clear()
+    return registry
+
+
+class TestRecordCounter:
+    def test_counts_records_by_kind(self, tmp_path, registry):
+        write_records(tmp_path / "j.wal", [(1, b"a"), (2, b"b"), (1, b"c")], registry)
+        records = registry.get("store.journal_records")
+        assert records.value(kind=1) == 2 and records.value(kind=2) == 1
+
+    def test_campaign_metrics_match_labelled_calls(self, tmp_path, monkeypatch):
+        bound = campaign_registry(tmp_path, "bound")
+        monkeypatch.setattr(
+            Counter, "labels", lambda counter, **values: _LabelledCalls(counter, values)
+        )
+        labelled = campaign_registry(tmp_path, "labelled")
+        assert bound.get("store.journal_records").samples()
+        assert bound.to_json() == labelled.to_json()
+        assert bound.render_text() == labelled.render_text()
